@@ -1,47 +1,18 @@
-"""Search kernels: compiled Cython extension when available, pure Python
-otherwise.  Set SETFAM_PURE_KERNELS=1 to force the pure backend."""
+"""Search kernels: maximal-clique enumeration, max-clique size and
+canonical relabeling, in pure Python (see ``pure``)."""
 
-import os
+from . import pure
+from .pure import canonical_min, max_clique_size, maximal_cliques
 
-if os.environ.get("SETFAM_PURE_KERNELS"):
-    from . import pure as _backend
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _ckern as _backend  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import pure as _backend
-
-        BACKEND = "pure"
-
-maximal_cliques = _backend.maximal_cliques
-max_clique_size = _backend.max_clique_size
-canonical_min = _backend.canonical_min
+BACKEND = "pure"
 
 
 def available_backends() -> list[str]:
-    names = []
-    try:
-        from . import _ckern  # noqa: F401
-
-        names.append("compiled")
-    except ImportError:
-        pass
-    names.append("pure")
-    return names
+    return [BACKEND]
 
 
 def load_backend(name: str):
-    """Fetch a backend module by name ("compiled" or "pure")."""
-    if name == "pure":
-        from . import pure
-
-        return pure
-    if name == "compiled":
-        from . import _ckern
-
-        return _ckern
-    raise ValueError(f"unknown backend {name!r}")
+    """Fetch a backend module by name; "pure" is the only one."""
+    if name != BACKEND:
+        raise ValueError(f"unknown backend {name!r}")
+    return pure

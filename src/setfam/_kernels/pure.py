@@ -1,8 +1,7 @@
 """Pure-Python search kernels.
 
 Graph vertices are indices 0..nv-1 and adj[v] is the neighborhood of v
-as a bitmask over vertex indices (no self loops).  These mirror the
-compiled kernels in _ckern exactly; keep the two in sync.
+as a bitmask over vertex indices (no self loops).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, bounds, covers, enumeration, famcore, generators, search
+from . import __version__, _kernels, bounds, covers, enumeration, famcore, generators, search
 
 
 # --- reports ----------------------------------------------------------------
@@ -209,6 +209,16 @@ def _check_triple_transversal(m, k, ell, expect_max) -> Check:
     )
 
 
+def _check_triple_transversal_degenerate() -> Check:
+    got = search.triple_transversal_search(search.make_triple_blocks(9, 1), 3).max_size
+    return Check(
+        "triple-transversal-degenerate",
+        "pass" if got <= 1 else "fail",
+        "max <= 1 at ell = 1",
+        got,
+    )
+
+
 def _check_ratio(sizes, quotas) -> Check:
     name = "direct-product-ratio-" + "x".join(map(str, sizes)) + "-" + "x".join(map(str, quotas))
     spec = partition_spec(sizes, quotas)
@@ -231,14 +241,7 @@ def _check_frankl_wilson(n, k, t) -> Check:
     value, valid = bounds.frankl_wilson_bound(n, k, t)
     ms = generators.gen_complete(n, k).members
     nv = len(ms)
-    adj = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if (ms[i] & ms[j]).bit_count() >= t:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    from . import _kernels
-
+    adj = enumeration.intersection_adjacency(ms, t)
     # {F : [t] subset F} is always a t-intersecting family of size C(n-t, k-t)
     seed = bounds.binom(n - t, k - t)
     got = _kernels.max_clique_size(adj, nv, (1 << nv) - 1, seed)
@@ -336,17 +339,7 @@ def suite_theorems(jobs: int = 1) -> VerificationReport:
     tasks = [
         ("triple-transversal-12-3-4", lambda: _check_triple_transversal(12, 3, 4, 16)),
         ("triple-transversal-13-3-4", lambda: _check_triple_transversal(13, 3, 4, 16)),
-        (
-            "triple-transversal-degenerate",
-            lambda: Check(
-                "triple-transversal-degenerate",
-                "pass"
-                if search.triple_transversal_search(search.make_triple_blocks(9, 1), 3).max_size <= 1
-                else "fail",
-                "max <= 1 at ell = 1",
-                search.triple_transversal_search(search.make_triple_blocks(9, 1), 3).max_size,
-            ),
-        ),
+        ("triple-transversal-degenerate", _check_triple_transversal_degenerate),
     ]
     for sizes, quotas in THM5_EXACT_INSTANCES:
         tasks.append((f"direct-product-ratio-{sizes}", lambda s=sizes, q=quotas: _check_ratio(s, q)))
@@ -534,6 +527,12 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _ledger_json(m: int, k: int, ell: int) -> str:
+    ledger = bounds.triple_transversal_ledger(m, k, ell)
+    entries = {str(r): v for r, v in ledger["entries"].items()}
+    return json.dumps({"entries": entries, "total": ledger["total"]}, sort_keys=True)
+
+
 BOUND_CALCS = {
     "ekr": (lambda a: bounds.ekr_bound(a.n, a.k), ("n", "k")),
     "hm": (lambda a: bounds.hm_bound(a.n, a.k), ("n", "k")),
@@ -543,16 +542,7 @@ BOUND_CALCS = {
     "matching-threshold": (lambda a: bounds.matching_threshold(a.n, a.k, a.s)[0], ("n", "k", "s")),
     "hk-gap": (lambda a: bounds.hk_gap_constant(a.n, a.k), ("n", "k")),
     "triple-transversal": (lambda a: bounds.triple_transversal_bound(a.m, a.k, a.l), ("m", "k", "l")),
-    "triple-transversal-ledger": (
-        lambda a: json.dumps(
-            {
-                "entries": {str(r): v for r, v in bounds.triple_transversal_ledger(a.m, a.k, a.l)["entries"].items()},
-                "total": bounds.triple_transversal_ledger(a.m, a.k, a.l)["total"],
-            },
-            sort_keys=True,
-        ),
-        ("m", "k", "l"),
-    ),
+    "triple-transversal-ledger": (lambda a: _ledger_json(a.m, a.k, a.l), ("m", "k", "l")),
 }
 
 AUDIT_GRIDS = {
@@ -620,8 +610,6 @@ def cmd_verify(args) -> int:
         report = suite_prop_k3(n, jobs=args.jobs)
     else:
         report = suite_theorems(jobs=args.jobs)
-    if args.seed is not None:
-        report.params["seed"] = args.seed
     if args.json:
         text = report.to_json(no_timing=args.no_timing) + "\n"
     elif args.csv:
@@ -713,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--csv", action="store_true")
     sp.add_argument("--no-timing", action="store_true", help="omit elapsed_ms for byte-stable output")
     sp.add_argument("--jobs", type=int, default=1, help="worker count; results invariant to it")
-    sp.add_argument("--seed", type=int, default=None, help="recorded but unused (all algorithms deterministic)")
     out_opt(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -23,14 +23,15 @@ class UnsupportedRegimeError(ValueError):
     """Raised for parameter regimes the enumerator refuses (n <= 2k)."""
 
 
-def intersection_adjacency(members) -> list[int]:
-    """Bitmask adjacency of the intersection graph on the given masks."""
+def intersection_adjacency(members, t: int = 1) -> list[int]:
+    """Bitmask adjacency of the t-intersection graph on the given masks:
+    two members are adjacent when they share at least t elements."""
     ms = list(members)
     nv = len(ms)
     adj = [0] * nv
     for i in range(nv):
         for j in range(i + 1, nv):
-            if ms[i] & ms[j]:
+            if (ms[i] & ms[j]).bit_count() >= t:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj

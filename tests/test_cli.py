@@ -162,15 +162,6 @@ def test_verify_jobs_invariance(capsys):
     assert a == b
 
 
-def test_verify_seed_recorded(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--suite", "prop-k3", "--n", "7", "--json", "--no-timing",
-        "--seed", "99",
-    )
-    assert code == 0
-    assert json.loads(out)["params"]["seed"] == 99
-
-
 def test_verify_csv(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "prop-k3", "--n", "7", "--csv")
     assert code == 0

@@ -8,10 +8,12 @@ from setfam.enumeration import (
     canonical_form,
     canonical_members,
     enumerate_maximal_intersecting,
+    intersection_adjacency,
     iso_classes,
 )
 from setfam.famcore import (
     Family,
+    all_ksets,
     is_intersecting,
     is_trivial,
     kset,
@@ -26,6 +28,17 @@ def relabel(fam, perm):
         sum(1 << perm[i] for i in range(fam.n) if m >> i & 1) for m in fam.members
     )
     return Family(fam.n, fam.k, tuple(ms))
+
+
+def test_intersection_adjacency_threshold():
+    ms = all_ksets(6, 3)
+    for t in (1, 2, 3):
+        adj = intersection_adjacency(ms, t)
+        for i, a in enumerate(ms):
+            for j, b in enumerate(ms):
+                shared = i != j and bin(a & b).count("1") >= t
+                assert bool(adj[i] >> j & 1) == shared
+    assert intersection_adjacency(ms) == intersection_adjacency(ms, 1)
 
 
 def test_5_2_against_powerset_oracle():

@@ -1,5 +1,4 @@
-"""Backend contract tests: the pure kernels against independent oracles,
-and compiled/pure parity (bit-for-bit, including output order)."""
+"""Kernel contract tests: the search kernels against independent oracles."""
 
 import random
 from itertools import combinations
@@ -7,11 +6,8 @@ from itertools import combinations
 import pytest
 
 from conftest import brute_canonical, nx_max_clique_size, nx_maximal_cliques
-from setfam._kernels import available_backends, load_backend
-
-pure = load_backend("pure")
-BACKENDS = [load_backend(name) for name in available_backends()]
-HAVE_COMPILED = "compiled" in available_backends()
+from setfam import _kernels
+from setfam._kernels import pure
 
 
 def random_graph(rng, nv, p):
@@ -24,92 +20,73 @@ def random_graph(rng, nv, p):
     return adj
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=available_backends())
-def test_maximal_cliques_against_networkx(backend):
+def test_maximal_cliques_against_networkx():
     rng = random.Random(5)
     for _ in range(60):
         nv = rng.randint(0, 30)
         adj = random_graph(rng, nv, rng.choice([0.2, 0.5, 0.8]))
         got = {
             frozenset(i for i in range(nv) if m >> i & 1)
-            for m in backend.maximal_cliques(adj, nv)
+            for m in pure.maximal_cliques(adj, nv)
         }
         assert got == nx_maximal_cliques(adj, nv)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=available_backends())
-def test_max_clique_size_against_networkx(backend):
+def test_max_clique_size_against_networkx():
     rng = random.Random(6)
     for _ in range(60):
         nv = rng.randint(1, 28)
         adj = random_graph(rng, nv, rng.choice([0.3, 0.6, 0.9]))
         full = (1 << nv) - 1
-        assert backend.max_clique_size(adj, nv, full, 0) == nx_max_clique_size(adj, nv)
+        assert pure.max_clique_size(adj, nv, full, 0) == nx_max_clique_size(adj, nv)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=available_backends())
-def test_max_clique_size_lb_contract(backend):
+def test_max_clique_size_lb_contract():
     # returns max(lb, clique size); empty candidate set gives max(lb, 0)
     adj = [0b110, 0b101, 0b011]  # triangle
-    assert backend.max_clique_size(adj, 3, 0b111, 0) == 3
-    assert backend.max_clique_size(adj, 3, 0b111, 3) == 3
-    assert backend.max_clique_size(adj, 3, 0, 2) == 2
-    assert backend.max_clique_size(adj, 3, 0, 0) == 0
-    assert backend.max_clique_size(adj, 3, 0b011, 0) == 2
+    assert pure.max_clique_size(adj, 3, 0b111, 0) == 3
+    assert pure.max_clique_size(adj, 3, 0b111, 3) == 3
+    assert pure.max_clique_size(adj, 3, 0, 2) == 2
+    assert pure.max_clique_size(adj, 3, 0, 0) == 0
+    assert pure.max_clique_size(adj, 3, 0b011, 0) == 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=available_backends())
-def test_canonical_min_against_permutation_sweep(backend):
+def test_canonical_min_against_permutation_sweep():
     rng = random.Random(7)
     for _ in range(100):
         n = rng.randint(2, 6)
         k = rng.randint(1, n)
         pool = [sum(1 << i for i in c) for c in combinations(range(n), k)]
         members = tuple(sorted(rng.sample(pool, rng.randint(1, min(5, len(pool))))))
-        got, achieved = backend.canonical_min(n, members)
+        got, achieved = pure.canonical_min(n, members)
         assert achieved
         assert got == brute_canonical(n, members)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=available_backends())
-def test_canonical_min_seed_contract(backend):
+def test_canonical_min_seed_contract():
     n = 6
     members = (0b000111, 0b011001, 0b101010)
-    enc, achieved = backend.canonical_min(n, members)
+    enc, achieved = pure.canonical_min(n, members)
     assert achieved
     # seeding with the true minimum: achieved, unchanged
-    assert backend.canonical_min(n, members, seed=enc) == (enc, True)
+    assert pure.canonical_min(n, members, seed=enc) == (enc, True)
     # seeding with something smaller than every relabeling: not achieved
     low = tuple([enc[0] - 1] + list(enc[1:]))
-    got, ach = backend.canonical_min(n, members, seed=low)
+    got, ach = pure.canonical_min(n, members, seed=low)
     assert not ach and got == low
     # a larger phantom seed is simply beaten
     high = tuple([enc[0] + 1] + list(enc[1:]))
-    assert backend.canonical_min(n, members, seed=high) == (enc, True)
-    assert backend.canonical_min(n, ()) == ((), True)
+    assert pure.canonical_min(n, members, seed=high) == (enc, True)
+    assert pure.canonical_min(n, ()) == ((), True)
     with pytest.raises(ValueError):
-        backend.canonical_min(n, members, seed=(1, 2))
+        pure.canonical_min(n, members, seed=(1, 2))
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels unavailable")
-def test_backend_parity_bit_for_bit():
-    comp = load_backend("compiled")
-    rng = random.Random(8)
-    for _ in range(120):
-        nv = rng.randint(0, 70)
-        adj = random_graph(rng, nv, rng.choice([0.15, 0.5, 0.85]))
-        assert pure.maximal_cliques(adj, nv) == comp.maximal_cliques(adj, nv)
-        cand = rng.getrandbits(nv) if nv else 0
-        assert pure.max_clique_size(adj, nv, cand, 0) == comp.max_clique_size(
-            adj, nv, cand, 0
-        )
-    for _ in range(150):
-        n = rng.randint(2, 9)
-        k = rng.randint(1, n)
-        pool = [sum(1 << i for i in c) for c in combinations(range(n), k)]
-        members = tuple(sorted(rng.sample(pool, rng.randint(1, min(8, len(pool))))))
-        assert pure.canonical_min(n, members) == comp.canonical_min(n, members)
-        seed = pure.canonical_min(n, members)[0]
-        assert pure.canonical_min(n, members, seed=seed) == comp.canonical_min(
-            n, members, seed=seed
-        )
+def test_backend_interface():
+    assert _kernels.BACKEND == "pure"
+    assert _kernels.available_backends() == ["pure"]
+    backend = _kernels.load_backend("pure")
+    for name in ("maximal_cliques", "max_clique_size", "canonical_min"):
+        assert getattr(backend, name) is getattr(_kernels, name)
+    with pytest.raises(ValueError):
+        _kernels.load_backend("compiled")
