@@ -47,12 +47,18 @@ def max_clique_size(adj, nv: int, cand: int, lb: int = 0) -> int:
 
     lb must be the size of a clique known to exist (it seeds the pruning
     bound); the empty graph has clique size 0.
+
+    Branch and bound with greedy-coloring bounds (Tomita & Seki's MCQ),
+    run on an explicit stack of frames (p, size, order, colors, i), so
+    the clique size is not limited by the recursion limit.
     """
     best = lb if lb > 0 else 0
-
-    def expand(p: int, size: int):
-        nonlocal best
-        # greedy coloring: order vertices by color class, colors ascending
+    if not cand:
+        return best
+    stack = []
+    p, size = cand, 0
+    while True:
+        # greedy coloring of p: order vertices by color class, colors ascending
         order: list[int] = []
         colors: list[int] = []
         un = p
@@ -67,20 +73,31 @@ def max_clique_size(adj, nv: int, cand: int, lb: int = 0) -> int:
                 colors.append(c)
                 un ^= b
                 avail &= ~(adj[v] | b)
-        for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= best:
-                return
-            v = order[i]
-            np_ = p & adj[v]
-            if np_:
-                expand(np_, size + 1)
-            elif size + 1 > best:
-                best = size + 1
-            p ^= 1 << v
-
-    if cand:
-        expand(cand, 0)
-    return best
+        i = len(order) - 1
+        if c == len(order):
+            # a greedy class stays a singleton only when its first vertex
+            # is adjacent to every vertex still uncolored, so all classes
+            # are singletons exactly when p is a clique: nothing to branch
+            if size + c > best:
+                best = size + c
+            i = -1
+        # branch on order[i], order[i-1], ..., resuming parent frames
+        while True:
+            if i >= 0 and size + colors[i] > best:
+                v = order[i]
+                i -= 1
+                np_ = p & adj[v]
+                p ^= 1 << v
+                if np_:
+                    stack.append((p, size, order, colors, i))
+                    p, size = np_, size + 1
+                    break
+                if size + 1 > best:
+                    best = size + 1
+            elif stack:
+                p, size, order, colors, i = stack.pop()
+            else:
+                return best
 
 
 def canonical_min(n: int, members, seed=None):

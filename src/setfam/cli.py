@@ -605,6 +605,8 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; options: {sorted(SUITES)}")
+    if args.n is not None and args.suite != "prop-k3":
+        raise ValueError(f"--n applies only to --suite prop-k3, not {args.suite!r}")
     if args.suite == "prop-k3":
         n = args.n if args.n is not None else 7
         report = suite_prop_k3(n, jobs=args.jobs)
@@ -697,8 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("--suite", required=True)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--csv", action="store_true")
+    fmt = sp.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
     sp.add_argument("--no-timing", action="store_true", help="omit elapsed_ms for byte-stable output")
     sp.add_argument("--jobs", type=int, default=1, help="worker count; results invariant to it")
     out_opt(sp)

@@ -154,12 +154,21 @@ def test_verify_report_determinism(capsys):
 
 
 def test_verify_jobs_invariance(capsys):
-    a = run(capsys, "verify", "--suite", "prop-k3", "--n", "7", "--json", "--no-timing")
-    b = run(
-        capsys, "verify", "--suite", "prop-k3", "--n", "7", "--json", "--no-timing",
-        "--jobs", "4",
-    )
+    # theorems is the suite whose checks are spread over --jobs workers
+    args = ("verify", "--suite", "theorems", "--json", "--no-timing")
+    a = run(capsys, *args, "--jobs", "1")
+    b = run(capsys, *args, "--jobs", "4")
+    assert a[0] == 0
     assert a == b
+
+
+def test_verify_refuses_ignored_options(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "theorems", "--n", "7")
+    assert code == 2 and out == ""
+    assert "error:" in err and "--n" in err
+    code, out, err = run(capsys, "verify", "--suite", "prop-k3", "--n", "7", "--json", "--csv")
+    assert code == 2 and out == ""
+    assert "error:" in err and "--csv" in err
 
 
 def test_verify_csv(capsys):

@@ -33,12 +33,30 @@ def test_maximal_cliques_against_networkx():
 
 
 def test_max_clique_size_against_networkx():
+    # dense graphs make whole candidate sets cliques, at the root and at
+    # inner nodes; a proper non-empty cand is compared on the induced
+    # subgraph (vertices outside cand isolated, which cannot raise a
+    # non-empty maximum)
     rng = random.Random(6)
-    for _ in range(60):
-        nv = rng.randint(1, 28)
-        adj = random_graph(rng, nv, rng.choice([0.3, 0.6, 0.9]))
+    for _ in range(120):
+        nv = rng.randint(2, 28)
+        adj = random_graph(rng, nv, rng.choice([0.3, 0.6, 0.9, 0.95, 1.0]))
         full = (1 << nv) - 1
         assert pure.max_clique_size(adj, nv, full, 0) == nx_max_clique_size(adj, nv)
+        cand = rng.randrange(1, full)
+        induced = [adj[i] & cand if cand >> i & 1 else 0 for i in range(nv)]
+        assert pure.max_clique_size(adj, nv, cand, 0) == nx_max_clique_size(induced, nv)
+
+
+def test_max_clique_size_deep_search():
+    # the complete graph on 1100 vertices minus one edge: the search
+    # descends about a thousand levels, past the default recursion limit
+    nv = 1100
+    full = (1 << nv) - 1
+    adj = [full ^ (1 << i) for i in range(nv)]
+    adj[0] ^= 1 << 1
+    adj[1] ^= 1 << 0
+    assert pure.max_clique_size(adj, nv, full, 0) == nv - 1
 
 
 def test_max_clique_size_lb_contract():

@@ -7,7 +7,14 @@ from conftest import nx_max_clique_size
 from setfam.bounds import binom
 from setfam.enumeration import intersection_adjacency
 from setfam.famcore import Family, is_intersecting, is_trivial, kset
-from setfam.generators import ConstraintSpec, HMSpec, gen_complete, gen_constrained, gen_hm
+from setfam.generators import (
+    ConstraintSpec,
+    HMSpec,
+    gen_complete,
+    gen_constrained,
+    gen_full_star,
+    gen_hm,
+)
 from setfam.search import (
     check_ekr_property,
     make_triple_blocks,
@@ -55,6 +62,12 @@ def test_intersecting_host_returns_itself():
     size, witness = max_intersecting_subfamily(hm)
     assert size == len(hm)
     assert witness == hm
+
+
+def test_full_star_inside_member_cap():
+    # 1820 members: the witness rebuild solves one clique problem per member
+    host = gen_full_star(17, 5, 1)
+    assert max_intersecting_subfamily(host) == (1820, host)
 
 
 def test_member_cap():
