@@ -100,26 +100,21 @@ def max_clique_size(adj, nv: int, cand: int, lb: int = 0) -> int:
                 return best
 
 
-def canonical_min(n: int, members, seed=None):
+def canonical_min(n: int, members) -> tuple[int, ...]:
     """Lexicographically least relabeling of a family under permutations of [n].
 
-    members are element bitmasks; returns (encode, achieved) where encode
-    is the sorted tuple of relabeled masks.  With seed (a candidate
-    encode) the search starts from that incumbent: if some permutation
-    attains a value <= seed, achieved is True and encode is the true
-    minimum; otherwise encode == seed and achieved is False (no
-    relabeling reaches seed, rerun without a seed for the true minimum).
+    members are element bitmasks; returns the encode, the sorted tuple of
+    relabeled masks.
 
     Branch and bound: new labels 1, 2, .. are assigned to old elements in
     order, support elements first (a minimal relabeling never puts an
     unused element below a used one).  Per-member lower-bound masks prune
-    against the incumbent; ties are explored only until one witness
-    permutation confirms the incumbent is attainable.
+    against the incumbent; a key equal to the incumbent cannot beat it.
     """
     ms = list(members)
     m = len(ms)
     if m == 0:
-        return (), True
+        return ()
     support = 0
     for v in ms:
         support |= v
@@ -130,22 +125,16 @@ def canonical_min(n: int, members, seed=None):
         s ^= b
         sup.append(b.bit_length() - 1)
 
-    best = None if seed is None else list(seed)
-    if best is not None and len(best) != m:
-        raise ValueError("seed length must match the family size")
-    achieved = False
+    best = None
     # member indices containing each support element
     cols = {e: [i for i in range(m) if ms[i] >> e & 1] for e in sup}
 
     def rec(t, j, p, unassigned, low):
         # low is this node's sorted lower-bound list (computed by the parent)
-        nonlocal best, achieved
+        nonlocal best
         if not unassigned:
             if best is None or low < best:
                 best = low
-                achieved = True
-            elif low == best:
-                achieved = True
             return
         bitp = 1 << p
         shift = p + 1
@@ -161,16 +150,81 @@ def canonical_min(n: int, members, seed=None):
             kids.append((key, e, t2, j2))
         kids.sort(key=lambda kv: kv[0])
         for key, e, t2, j2 in kids:
-            if best is not None:
-                if achieved:
-                    if key >= best:
-                        break  # keys ascend; the rest are dominated too
-                elif key > best:
-                    break
+            if best is not None and key >= best:
+                break  # keys ascend; the rest are dominated too
             rec(t2, j2, shift, [u for u in unassigned if u != e], key)
 
     t0 = [0] * m
     j0 = [v.bit_count() for v in ms]
     low0 = sorted((1 << j) - 1 for j in j0)
     rec(t0, j0, 0, sup, low0)
-    return (None, False) if best is None else (tuple(best), achieved)
+    return tuple(best)
+
+
+def _pair_profile(n: int, members):
+    """(co, inv): co[a][b] counts the members holding both a and b (the
+    diagonal is the degree), and inv[e] = (degree, sorted co row) is
+    element e's relabeling invariant."""
+    cols = [0] * n  # cols[e]: bitmask of the member indices holding e
+    for i, v in enumerate(members):
+        bit = 1 << i
+        while v:
+            b = v & -v
+            v ^= b
+            cols[b.bit_length() - 1] |= bit
+    co = [[(c & d).bit_count() for d in cols] for c in cols]
+    inv = [(co[e][e], tuple(sorted(co[e]))) for e in range(n)]
+    return co, inv
+
+
+def find_relabeling(n: int, source, target) -> tuple[int, ...] | None:
+    """A permutation p of [n] carrying the member set source exactly onto
+    target (element e goes to p[e]), or None when no permutation does.
+
+    Backtracking over source elements, fewest candidates first.  Element
+    invariants prune: e may go only to a target element with the same
+    degree and sorted co-degree row, and every assigned pair must keep its
+    co-degree.  Invariants only prune; a member counts as placed only once
+    all its elements are assigned and its image is a target member.
+    """
+    src = set(source)
+    tgt = set(target)
+    # the empty member has no elements, so no step below places it
+    if len(src) != len(tgt) or (0 in src) != (0 in tgt):
+        return None
+    co_s, inv_s = _pair_profile(n, src)
+    co_t, inv_t = _pair_profile(n, tgt)
+    if sorted(inv_s) != sorted(inv_t):
+        return None
+    cands = [[t for t in range(n) if inv_t[t] == inv_s[e]] for e in range(n)]
+    order = sorted(range(n), key=lambda e: len(cands[e]))
+    # the members whose last element in order is order[i], as element lists
+    done = [[] for _ in range(n)]
+    pos = {e: i for i, e in enumerate(order)}
+    for v in src:
+        els = [e for e in range(n) if v >> e & 1]
+        if els:
+            done[max(pos[e] for e in els)].append(els)
+    perm = [-1] * n
+
+    def place(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        e = order[i]
+        row_s = co_s[e]
+        before = order[:i]
+        for t in cands[e]:
+            if used >> t & 1:
+                continue
+            row_t = co_t[t]
+            if any(row_s[f] != row_t[perm[f]] for f in before):
+                continue
+            perm[e] = t
+            if all(sum(1 << perm[a] for a in els) in tgt for els in done[i]) and place(
+                i + 1, used | 1 << t
+            ):
+                return True
+        perm[e] = -1
+        return False
+
+    return tuple(perm) if place(0, 0) else None

@@ -133,7 +133,7 @@ def partition_spec(sizes, quotas) -> generators.ConstraintSpec:
     return generators.ConstraintSpec(lo, tuple(blocks), tuple(quotas), "exact")
 
 
-def suite_prop_k3(n: int, jobs: int = 1) -> VerificationReport:
+def suite_prop_k3(n: int) -> VerificationReport:
     """The k = 3 landscape: enumerate all maximal intersecting 3-uniform
     families on [n] (n in {7, 8}), reduce to isomorphism classes, and
     check the class count and every size/degree bound class by class."""
@@ -607,9 +607,13 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown suite {args.suite!r}; options: {sorted(SUITES)}")
     if args.n is not None and args.suite != "prop-k3":
         raise ValueError(f"--n applies only to --suite prop-k3, not {args.suite!r}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs != 1 and args.suite == "prop-k3":
+        raise ValueError("--jobs applies only to --suite theorems; prop-k3 runs in one worker")
     if args.suite == "prop-k3":
         n = args.n if args.n is not None else 7
-        report = suite_prop_k3(n, jobs=args.jobs)
+        report = suite_prop_k3(n)
     else:
         report = suite_theorems(jobs=args.jobs)
     if args.json:

@@ -5,6 +5,9 @@ Maximal intersecting k-uniform families on [n] are exactly the maximal
 cliques of the intersection graph on all C(n, k) k-sets, so enumeration
 is maximal-clique enumeration over that graph.  Isomorphism uses the
 minimum relabeling over all permutations of [n] (exact for n <= 10).
+Reducing to classes canonicalizes once per class: every later family of
+a class is placed by an explicit relabeling onto the class's canonical
+encode (see ``iso_classes``).
 """
 
 from __future__ import annotations
@@ -84,12 +87,9 @@ def _certificate(fam: Family) -> tuple:
     return (fam.k, len(ms), degs, tuple(inter))
 
 
-def canonical_members(fam: Family, seed=None) -> tuple[int, ...]:
+def canonical_members(fam: Family) -> tuple[int, ...]:
     """Exact canonical encoding (minimum relabeled member tuple)."""
-    enc, achieved = _kernels.canonical_min(fam.n, fam.members, seed)
-    if seed is not None and not achieved:
-        enc, _ = _kernels.canonical_min(fam.n, fam.members, None)
-    return enc
+    return _kernels.canonical_min(fam.n, fam.members)
 
 
 def canonical_form(fam: Family) -> CanonicalForm:
@@ -118,9 +118,14 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
     """Group families by canonical form.
 
     Classes are reported by size descending, then by canonical encoding.
-    Canonicalization is seeded per invariant bucket: once a bucket has a
-    known canonical encode, later members try to reach it first, which
-    turns the common isomorphic case into a single confirming descent.
+    Families are bucketed by a relabeling invariant (the certificate), and
+    each bucket keeps the canonical encodes of the classes found in it so
+    far.  A family that some permutation carries onto one of those
+    encodes joins that class; only a family that relabels onto none of
+    them is canonicalized, and it opens a new class in its bucket.  So
+    canonicalization runs once per class, every class is still keyed by
+    its exact minimum encode, and no assumption is made about which
+    labeled copies the input holds.
     """
     counts: dict[tuple, int] = {}
     meta: dict[tuple, Family] = {}
@@ -130,13 +135,17 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
             raise ValueError(
                 f"iso_classes needs exact canonical mode (n <= {EXACT_CANONICAL_MAX_N})"
             )
-        cert = _certificate(fam)
-        reps = buckets.setdefault(cert, [])
-        enc = canonical_members(fam, seed=min(reps) if reps else None)
-        if enc not in counts:
+        encs = buckets.setdefault(_certificate(fam), [])
+        for enc in encs:
+            if _kernels.find_relabeling(fam.n, fam.members, enc) is not None:
+                break
+        else:
+            # a certificate is a relabeling invariant, so this class can
+            # live only in this bucket: its encode is new
+            enc = canonical_members(fam)
+            encs.append(enc)
             counts[enc] = 0
             meta[enc] = Family(fam.n, fam.k, enc)
-            reps.append(enc)
         counts[enc] += 1
     out = []
     for enc, rep in meta.items():

@@ -169,6 +169,10 @@ def test_verify_refuses_ignored_options(capsys):
     code, out, err = run(capsys, "verify", "--suite", "prop-k3", "--n", "7", "--json", "--csv")
     assert code == 2 and out == ""
     assert "error:" in err and "--csv" in err
+    for suite, jobs in (("prop-k3", "4"), ("prop-k3", "0"), ("theorems", "0"), ("theorems", "-2")):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "error:" in err and "--jobs" in err
 
 
 def test_verify_csv(capsys):
@@ -178,7 +182,7 @@ def test_verify_csv(capsys):
 
 
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
-    def broken(n, jobs=1):
+    def broken(n):
         return cli.VerificationReport(
             "prop-k3", {"n": n}, [cli.Check("forced", "fail", 1, 2)], 0
         )

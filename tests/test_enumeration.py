@@ -1,10 +1,13 @@
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from conftest import brute_canonical, naive_maximal_intersecting
 from setfam.enumeration import (
     UnsupportedRegimeError,
+    _certificate,
     canonical_form,
     canonical_members,
     enumerate_maximal_intersecting,
@@ -131,6 +134,37 @@ def test_iso_classes_merges_relabelings():
     classes = iso_classes([hm, relabel(hm, perm)])
     assert len(classes) == 1
     assert classes[0].labeled_count == 2
+
+
+def test_iso_classes_on_partial_shared_bucket():
+    # one certificate bucket of (7,3) holds two classes (orbits of 840 and
+    # 140); a shuffled part of it is not a union of whole orbits, and must
+    # still group exactly as canonicalizing every family does
+    fams = list(enumerate_maximal_intersecting(7, 3))
+    by_cert = Counter(_certificate(c.canonical) for c in iso_classes(fams))
+    shared = [cert for cert, classes in by_cert.items() if classes > 1]
+    assert len(shared) == 1
+    rng = random.Random(12)
+    sample = rng.sample([f for f in fams if _certificate(f) == shared[0]], 150)
+    want = Counter(canonical_members(f) for f in sample)
+    assert len(want) == 2
+    got = iso_classes(sample)
+    assert {c.canonical.members: c.labeled_count for c in got} == want
+
+
+def test_iso_classes_orbit_stabiliser_7_3():
+    # each class of the whole (7,3) landscape is one orbit of S_7, so its
+    # labeled count is 7!/|Aut|, with Aut counted by a permutation sweep
+    classes = iso_classes(enumerate_maximal_intersecting(7, 3))
+    perms = list(permutations(range(7)))
+    for c in classes:
+        rep = set(c.canonical.members)
+        aut = sum(
+            all(sum(1 << p[i] for i in range(7) if m >> i & 1) in rep for m in rep)
+            for p in perms
+        )
+        assert c.labeled_count * aut == len(perms)
+    assert sum(c.labeled_count for c in classes) == 6127
 
 
 def test_iso_classes_invariant_under_global_relabeling():

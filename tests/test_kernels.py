@@ -1,7 +1,7 @@
 """Kernel contract tests: the search kernels against independent oracles."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,6 +18,11 @@ def random_graph(rng, nv, p):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return adj
+
+
+def relabel_masks(members, perm):
+    """The member set under the element map i -> perm[i]."""
+    return {sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1) for m in members}
 
 
 def test_maximal_cliques_against_networkx():
@@ -76,35 +81,49 @@ def test_canonical_min_against_permutation_sweep():
         k = rng.randint(1, n)
         pool = [sum(1 << i for i in c) for c in combinations(range(n), k)]
         members = tuple(sorted(rng.sample(pool, rng.randint(1, min(5, len(pool))))))
-        got, achieved = pure.canonical_min(n, members)
-        assert achieved
-        assert got == brute_canonical(n, members)
+        assert pure.canonical_min(n, members) == brute_canonical(n, members)
+    assert pure.canonical_min(6, ()) == ()
 
 
-def test_canonical_min_seed_contract():
-    n = 6
-    members = (0b000111, 0b011001, 0b101010)
-    enc, achieved = pure.canonical_min(n, members)
-    assert achieved
-    # seeding with the true minimum: achieved, unchanged
-    assert pure.canonical_min(n, members, seed=enc) == (enc, True)
-    # seeding with something smaller than every relabeling: not achieved
-    low = tuple([enc[0] - 1] + list(enc[1:]))
-    got, ach = pure.canonical_min(n, members, seed=low)
-    assert not ach and got == low
-    # a larger phantom seed is simply beaten
-    high = tuple([enc[0] + 1] + list(enc[1:]))
-    assert pure.canonical_min(n, members, seed=high) == (enc, True)
-    assert pure.canonical_min(n, ()) == ((), True)
-    with pytest.raises(ValueError):
-        pure.canonical_min(n, members, seed=(1, 2))
+def test_find_relabeling_against_permutation_sweep():
+    # half the targets are relabelings of the source, half are random
+    # families of the same size; a permutation must come back exactly
+    # when the sweep finds one, and it must carry source onto target
+    rng = random.Random(8)
+    found = 0
+    cases = 400
+    for _ in range(cases):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        pool = [sum(1 << i for i in c) for c in combinations(range(n), k)]
+        source = tuple(rng.sample(pool, rng.randint(1, min(8, len(pool)))))
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            target = tuple(relabel_masks(source, perm))
+        else:
+            target = tuple(rng.sample(pool, len(source)))
+        exists = any(
+            relabel_masks(source, p) == set(target) for p in permutations(range(n))
+        )
+        got = pure.find_relabeling(n, source, target)
+        assert (got is not None) == exists
+        if got is not None:
+            found += 1
+            assert sorted(got) == list(range(n))
+            assert relabel_masks(source, got) == set(target)
+    assert min(found, cases - found) >= 30  # both outcomes are exercised
+    # unequal sizes, and the empty member, never relabel away
+    assert pure.find_relabeling(3, (0b011,), (0b011, 0b101)) is None
+    assert pure.find_relabeling(3, (0, 0b011), (0b110, 0b011)) is None
+    assert pure.find_relabeling(3, (0, 0b011), (0, 0b110)) is not None
 
 
 def test_backend_interface():
     assert _kernels.BACKEND == "pure"
     assert _kernels.available_backends() == ["pure"]
     backend = _kernels.load_backend("pure")
-    for name in ("maximal_cliques", "max_clique_size", "canonical_min"):
+    for name in ("maximal_cliques", "max_clique_size", "canonical_min", "find_relabeling"):
         assert getattr(backend, name) is getattr(_kernels, name)
     with pytest.raises(ValueError):
         _kernels.load_backend("compiled")
