@@ -52,6 +52,8 @@ def ekr_bound(n: int, k: int) -> int:
 def hm_bound(n: int, k: int) -> int:
     """Maximum size of a non-trivial intersecting family for n > 2k
     (Hilton-Milner): C(n-1,k-1) - C(n-k-1,k-1) + 1."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return binom(n - 1, k - 1) - binom(n - k - 1, k - 1) + 1
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -93,20 +94,15 @@ def _plain(v):
     return v
 
 
-def _run_tasks(tasks, jobs: int) -> list[Check]:
-    def safe(name, fn):
+def _run_tasks(tasks) -> list[Check]:
+    """Run the (name, fn) checks in order; a crashed check is a failed check."""
+    checks = []
+    for name, fn in tasks:
         try:
-            return fn()
-        except Exception as e:  # a crashed check is a failed check
-            return Check(name, "fail", None, f"error: {type(e).__name__}: {e}")
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futs = [ex.submit(safe, name, fn) for name, fn in tasks]
-            return [f.result() for f in futs]
-    return [safe(name, fn) for name, fn in tasks]
+            checks.append(fn())
+        except Exception as e:
+            checks.append(Check(name, "fail", None, f"error: {type(e).__name__}: {e}"))
+    return checks
 
 
 # --- suites -----------------------------------------------------------------
@@ -279,31 +275,40 @@ def _grid_check(name, results) -> Check:
 def suite_theorems(jobs: int = 1) -> VerificationReport:
     """Desk-scale verification of every bound: exact extremal searches
     against the closed forms, matching tightness, kernel structure over
-    the enumerated (7,3) landscape, and all identity/inequality audits."""
+    the enumerated (7,3) landscape, and all identity/inequality audits.
+    Checks run serially: ``jobs`` must be 1, and goes once the benchmark
+    stops passing it."""
+    if jobs != 1:
+        raise ValueError(f"suite_theorems runs serially; jobs must be 1, got {jobs}")
     t0 = time.perf_counter()
     fams73 = list(enumeration.enumerate_maximal_intersecting(7, 3))
     fano = famcore.family(7, 3, FANO_LINES)
     hm93 = generators.gen_hm(generators.HMSpec.standard(9, 3))
 
+    @functools.cache
+    def kernel_scan() -> tuple[bool, int, int]:
+        """Each (7,3) kernel once, kept only as (K1 empty iff non-trivial,
+        count of non-intersecting kernels, max |K_3|); a crash fails each caller."""
+        k1_ok, bad, worst = True, 0, 0
+        for f in fams73:
+            kern = covers.kernel(f)
+            k1_ok &= (not kern.layers[1]) == (famcore.is_trivial(f) is None)
+            cvs = kern.all_covers()
+            if not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :]):
+                bad += 1
+            worst = max(worst, len(kern.layers[3]))
+        return k1_ok, bad, worst
+
     def kernel_k1() -> Check:
-        ok = all(
-            (covers.kernel_layer_sizes(f)[0] == 0) == (famcore.is_trivial(f) is None)
-            for f in fams73
-        )
         return Check(
             "kernel-K1-empty-iff-nontrivial-7-3",
-            "pass" if ok else "fail",
+            "pass" if kernel_scan()[0] else "fail",
             "K1 empty exactly for non-trivial families",
             f"{len(fams73)} families",
         )
 
     def kernel_pairwise() -> Check:
-        bad = 0
-        for f in fams73:
-            kern = covers.kernel(f)
-            cvs = kern.all_covers()
-            if not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :]):
-                bad += 1
+        bad = kernel_scan()[1]
         return Check(
             "kernel-size-capped-intersecting-7-3",
             "pass" if bad == 0 else "fail",
@@ -312,7 +317,7 @@ def suite_theorems(jobs: int = 1) -> VerificationReport:
         )
 
     def kernel_layer_bound() -> Check:
-        worst = max(covers.kernel_layer_sizes(f)[2] for f in fams73)
+        worst = kernel_scan()[2]
         return Check(
             "kernel-layer3-bound-7-3",
             "pass" if worst <= 27 else "fail",
@@ -376,7 +381,7 @@ def suite_theorems(jobs: int = 1) -> VerificationReport:
             lambda: _grid_check("audit-inclusion-exclusion-grid", bounds.inclusion_exclusion_grid()),
         ),
     ]
-    checks = _run_tasks(tasks, jobs)
+    checks = _run_tasks(tasks)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport("theorems", {}, checks, elapsed)
 
@@ -461,8 +466,7 @@ def cmd_stats(args) -> int:
 
 def cmd_kernel(args) -> int:
     fam = _read_fam(args.file)
-    cap = fam.n if args.full else (args.cap if args.cap else fam.k)
-    kern = covers.kernel(fam, cap)
+    kern = covers.kernel(fam, fam.n if args.full else args.cap)
     obj = {
         "n": fam.n,
         "k": fam.k,
@@ -607,15 +611,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown suite {args.suite!r}; options: {sorted(SUITES)}")
     if args.n is not None and args.suite != "prop-k3":
         raise ValueError(f"--n applies only to --suite prop-k3, not {args.suite!r}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.jobs != 1 and args.suite == "prop-k3":
-        raise ValueError("--jobs applies only to --suite theorems; prop-k3 runs in one worker")
     if args.suite == "prop-k3":
         n = args.n if args.n is not None else 7
         report = suite_prop_k3(n)
     else:
-        report = suite_theorems(jobs=args.jobs)
+        report = suite_theorems()
     if args.json:
         text = report.to_json(no_timing=args.no_timing) + "\n"
     elif args.csv:
@@ -664,8 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kernel", help="minimal covers grouped by size")
     sp.add_argument("file")
-    sp.add_argument("--cap", type=int, default=None, help="cover size cap (default k)")
-    sp.add_argument("--full", action="store_true", help="enumerate all minimal covers (cap n)")
+    cap = sp.add_mutually_exclusive_group()
+    cap.add_argument("--cap", type=int, default=None, help="cover size cap in [1, n] (default k)")
+    cap.add_argument("--full", action="store_true", help="enumerate all minimal covers (cap n)")
     sp.set_defaults(func=cmd_kernel)
 
     sp = sub.add_parser("enumerate", help="all maximal intersecting families at (n, k)")
@@ -707,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
     sp.add_argument("--no-timing", action="store_true", help="omit elapsed_ms for byte-stable output")
-    sp.add_argument("--jobs", type=int, default=1, help="worker count; results invariant to it")
     out_opt(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -57,13 +57,16 @@ class Kernel:
 
 def kernel(fam: Family, size_cap: int | None = None) -> Kernel:
     """All minimal covers of size <= size_cap (default k; pass n for the
-    full kernel).  Depth-first search over hitting sets of the first
-    uncovered member, followed by a minimality filter."""
+    full kernel; anything outside [1, n] is refused).  Depth-first search
+    over hitting sets of the first uncovered member, followed by a
+    minimality filter."""
+    cap = fam.k if size_cap is None else size_cap
+    if not 1 <= cap <= fam.n:
+        raise ValueError(f"kernel size cap must be in [1, {fam.n}], got {cap}")
     if not fam.members:
         raise ValueError("kernel of an empty family is undefined")
     if not is_intersecting(fam):
         raise ValueError("kernel requires an intersecting family")
-    cap = fam.k if size_cap is None else size_cap
     ms = fam.members
     found: set[int] = set()
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .famcore import COMPLETE_CAP, Family, KSet, elements, kset
+from .famcore import COMPLETE_CAP, Family, KSet, all_ksets, elements, kset
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,14 @@ class ConstraintSpec:
 
 
 def gen_full_star(n: int, k: int, x: int) -> Family:
-    """All k-subsets of [n] containing the fixed element x."""
+    """All k-subsets of [n] containing the fixed element x, refused when
+    C(n-1, k-1) exceeds COMPLETE_CAP."""
     if not 1 <= x <= n:
         raise ValueError(f"center {x} out of range [1, {n}]")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n], got {k}")
+    if comb(n - 1, k - 1) > COMPLETE_CAP:
+        raise ValueError(f"C({n - 1},{k - 1}) exceeds the {COMPLETE_CAP} member cap")
     xb = 1 << (x - 1)
     others = [i for i in range(n) if i != x - 1]
     masks = sorted(xb | sum(1 << i for i in c) for c in combinations(others, k - 1))
@@ -88,15 +91,9 @@ def gen_full_star(n: int, k: int, x: int) -> Family:
 def gen_hm(spec: HMSpec) -> Family:
     """The Hilton-Milner family: {s} plus every k-set containing x and
     meeting s.  Size is C(n-1,k-1) - C(n-k-1,k-1) + 1."""
-    n, k = spec.n, spec.k
-    xb = 1 << (spec.x - 1)
-    others = [i for i in range(n) if i != spec.x - 1]
-    masks = {spec.s}
-    for c in combinations(others, k - 1):
-        m = xb | sum(1 << i for i in c)
-        if m & spec.s:
-            masks.add(m)
-    return Family(n, k, tuple(sorted(masks)))
+    star = gen_full_star(spec.n, spec.k, spec.x).members
+    masks = sorted([spec.s, *(m for m in star if m & spec.s)])
+    return Family(spec.n, spec.k, tuple(masks))
 
 
 def gen_meets_front(n: int, k: int, s: int) -> Family:
@@ -104,12 +101,7 @@ def gen_meets_front(n: int, k: int, s: int) -> Family:
     if not 1 <= s <= n - k:
         raise ValueError(f"s must be in [1, n-k], got s={s} with n={n}, k={k}")
     front = (1 << s) - 1
-    masks = sorted(
-        m
-        for c in combinations(range(n), k)
-        if (m := sum(1 << i for i in c)) & front
-    )
-    return Family(n, k, tuple(masks))
+    return Family(n, k, tuple(m for m in all_ksets(n, k) if m & front))
 
 
 def gen_complete(n: int, k: int, member_cap: int = COMPLETE_CAP) -> Family:

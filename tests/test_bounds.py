@@ -53,6 +53,9 @@ def test_hm_bound():
     for k in range(2, 6):
         n = 2 * k + 1
         assert hm_bound(n, k) == ekr_bound(n, k) - binom(k, k - 1) + 1
+    for n, k in ((3, 5), (4, 0), (5, -1)):
+        with pytest.raises(ValueError):
+            hm_bound(n, k)
 
 
 def test_hm_min_degree():

@@ -1,9 +1,10 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setfam import cli
+from setfam import cli, covers
 from setfam.famcore import parse_fam
 from setfam.generators import (
     ConstraintSpec,
@@ -103,6 +104,22 @@ def test_kernel_command(capsys, tmp_path):
     assert obj["layers"]["3"] == [[2, 3, 4]]
 
 
+def test_kernel_cap_rules(capsys, tmp_path):
+    path = tmp_path / "hm.fam"
+    run(capsys, "gen", "hm", "--n", "9", "--k", "3", "-o", str(path))
+    for cap in ("-1", "0", "10", "100"):
+        code, out, err = run(capsys, "kernel", str(path), "--cap", cap)
+        assert code == 2 and out == ""
+        assert "error:" in err and "size cap" in err
+    code, out, err = run(capsys, "kernel", str(path), "--cap", "2", "--full")
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+    code, out, _ = run(capsys, "kernel", str(path), "--cap", "2")
+    assert code == 0 and json.loads(out)["layer_sizes"] == [0, 3]
+    code, out, _ = run(capsys, "kernel", str(path), "--full")
+    assert code == 0 and json.loads(out)["size_cap"] == 9
+
+
 def test_enumerate_command_schema(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "5", "--k", "2", "--classes")
     assert code == 0
@@ -142,24 +159,60 @@ def test_verify_prop_k3(capsys):
 
 
 def test_verify_report_determinism(capsys):
-    args = ("verify", "--suite", "prop-k3", "--n", "7", "--json", "--no-timing")
-    code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2  # byte-identical without timing
-    obj = json.loads(out1)
-    assert obj["suite"] == "prop-k3"
-    assert "elapsed_ms" not in obj
-    assert all(c["status"] == "pass" for c in obj["checks"])
+    for suite, extra in (("prop-k3", ("--n", "7")), ("theorems", ())):
+        args = ("verify", "--suite", suite, *extra, "--json", "--no-timing")
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2  # byte-identical without timing
+        obj = json.loads(out1)
+        assert obj["suite"] == suite
+        assert "elapsed_ms" not in obj
+        assert all(c["status"] == "pass" for c in obj["checks"])
 
 
-def test_verify_jobs_invariance(capsys):
-    # theorems is the suite whose checks are spread over --jobs workers
-    args = ("verify", "--suite", "theorems", "--json", "--no-timing")
-    a = run(capsys, *args, "--jobs", "1")
-    b = run(capsys, *args, "--jobs", "4")
-    assert a[0] == 0
-    assert a == b
+def test_suite_theorems_is_serial():
+    for jobs in (0, 2, 4):
+        with pytest.raises(ValueError, match="jobs"):
+            cli.suite_theorems(jobs=jobs)
+
+
+KERNEL_CHECKS = {
+    "kernel-K1-empty-iff-nontrivial-7-3",
+    "kernel-size-capped-intersecting-7-3",
+    "kernel-layer3-bound-7-3",
+    "kernel-hm-9-3",
+}
+
+
+def test_theorems_kernel_once_per_family(monkeypatch):
+    # one kernel per (7,3) family, shared by the three landscape checks,
+    # plus one for HM(9,3)
+    calls = []
+    real = covers.kernel
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(covers, "kernel", counted)
+    report = cli.suite_theorems()
+    assert report.passed
+    assert len(calls) == 6127 + 1
+
+
+def test_theorems_kernel_crash_fails_only_kernel_checks(monkeypatch):
+    def broken(*a, **kw):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(covers, "kernel", broken)
+    report = cli.suite_theorems()
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert failed == KERNEL_CHECKS
+    assert len(report.checks) == 23
+    for c in report.checks:
+        if c.name in KERNEL_CHECKS:
+            assert c.actual == "error: RuntimeError: boom"
 
 
 def test_verify_refuses_ignored_options(capsys):

@@ -73,6 +73,15 @@ def test_kernel_preconditions():
         kernel(Family(5, 2, ()))
 
 
+def test_kernel_size_cap_range():
+    # a cap outside [1, n] is refused, not read as k or padded with empty layers
+    for cap in (-1, 0, 10, 100):
+        with pytest.raises(ValueError, match="size cap"):
+            kernel(HM93, size_cap=cap)
+    assert kernel(HM93, size_cap=1).layers == {1: ()}
+    assert sorted(kernel(HM93, size_cap=9).layers) == list(range(1, 10))
+
+
 def test_kernel_layer_sizes():
     assert kernel_layer_sizes(HM93) == (0, 3, 1)
     assert kernel_layer_sizes(gen_full_star(7, 3, 1)) == (1, 0, 0)

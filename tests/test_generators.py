@@ -40,6 +40,16 @@ def test_full_star_errors():
         gen_full_star(7, 8, 1)
 
 
+def test_star_hm_meets_front_refuse_oversized_output():
+    # C(39, 19) and C(40, 20) are far above COMPLETE_CAP: refuse, do not stall
+    with pytest.raises(ValueError, match="cap"):
+        gen_full_star(40, 20, 1)
+    with pytest.raises(ValueError, match="cap"):
+        gen_hm(HMSpec.standard(40, 20))
+    with pytest.raises(ValueError, match="cap"):
+        gen_meets_front(40, 20, 1)
+
+
 def test_hm_sizes():
     assert len(gen_hm(HMSpec.standard(7, 3))) == 13
     hm12 = gen_hm(HMSpec.standard(12, 4))
