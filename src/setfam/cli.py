@@ -121,12 +121,8 @@ THM5_EXACT_INSTANCES = (
 
 def partition_spec(sizes, quotas) -> generators.ConstraintSpec:
     """Consecutive blocks of the given sizes partitioning [sum(sizes)]."""
-    blocks = []
-    lo = 0
-    for s in sizes:
-        blocks.append(sum(1 << j for j in range(lo, lo + s)))
-        lo += s
-    return generators.ConstraintSpec(lo, tuple(blocks), tuple(quotas), "exact")
+    blocks = generators.consecutive_blocks(sizes)
+    return generators.ConstraintSpec(sum(sizes), blocks, tuple(quotas), "exact")
 
 
 def suite_prop_k3(n: int) -> VerificationReport:
@@ -139,6 +135,7 @@ def suite_prop_k3(n: int) -> VerificationReport:
     classes = enumeration.iso_classes(enumeration.enumerate_maximal_intersecting(n, 3))
     star_bound = bounds.ekr_bound(n, 3)
     hm_b = bounds.hm_bound(n, 3)
+    hm_delta = bounds.hm_min_degree(n, 3)
     nontrivial = [c for c in classes if not c.trivial]
     top = [c for c in classes if c.size == star_bound]
     deg_star = [c for c in classes if c.delta == n - 2]
@@ -167,15 +164,15 @@ def suite_prop_k3(n: int) -> VerificationReport:
         Check(
             "hm-class-present",
             "pass"
-            if any(c.size == hm_b and c.delta == 3 for c in nontrivial)
+            if any(c.size == hm_b and c.delta == hm_delta for c in nontrivial)
             else "fail",
-            f"a non-trivial class of size {hm_b} with delta 3",
+            f"a non-trivial class of size {hm_b} with delta {hm_delta}",
             sorted({(c.size, c.delta) for c in nontrivial}, reverse=True)[:3],
         ),
         Check(
             "min-degree-bound",
-            "pass" if all(c.delta <= 3 for c in nontrivial) else "fail",
-            "delta <= 3 on non-trivial classes",
+            "pass" if all(c.delta <= hm_delta for c in nontrivial) else "fail",
+            f"delta <= {hm_delta} on non-trivial classes",
             max((c.delta for c in nontrivial), default=0),
         ),
         Check(
@@ -360,33 +357,20 @@ def suite_theorems(jobs: int = 1) -> VerificationReport:
         ("kernel-size-capped-intersecting-7-3", kernel_pairwise),
         ("kernel-layer3-bound-7-3", kernel_layer_bound),
         ("kernel-hm-9-3", kernel_hm93),
-        (
-            "audit-telescoping-grid",
-            lambda: _grid_check("audit-telescoping-grid", bounds.telescoping_grid()),
-        ),
-        (
-            "audit-vandermonde-grid",
-            lambda: _grid_check("audit-vandermonde-grid", bounds.vandermonde_grid()),
-        ),
-        (
-            "audit-tail-ratio-grid",
-            lambda: _grid_check("audit-tail-ratio-grid", bounds.tail_ratio_grid()),
-        ),
-        (
-            "audit-degree-size-chain-grid",
-            lambda: _grid_check("audit-degree-size-chain-grid", bounds.degree_size_chain_grid()),
-        ),
-        (
-            "audit-inclusion-exclusion-grid",
-            lambda: _grid_check("audit-inclusion-exclusion-grid", bounds.inclusion_exclusion_grid()),
-        ),
     ]
+    for a, grid in AUDIT_GRIDS.items():
+        name = f"audit-{a}-grid"
+        tasks.append((name, lambda name=name, grid=grid: _grid_check(name, grid({}))))
     checks = _run_tasks(tasks)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport("theorems", {}, checks, elapsed)
 
 
-SUITES = {"prop-k3": suite_prop_k3, "theorems": suite_theorems}
+#: Each suite is called with the --n value, None when it is not given.
+SUITES = {
+    "prop-k3": lambda n: suite_prop_k3(7 if n is None else n),
+    "theorems": lambda n: suite_theorems(),
+}
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -611,11 +595,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown suite {args.suite!r}; options: {sorted(SUITES)}")
     if args.n is not None and args.suite != "prop-k3":
         raise ValueError(f"--n applies only to --suite prop-k3, not {args.suite!r}")
-    if args.suite == "prop-k3":
-        n = args.n if args.n is not None else 7
-        report = suite_prop_k3(n)
-    else:
-        report = suite_theorems()
+    report = SUITES[args.suite](args.n)
     if args.json:
         text = report.to_json(no_timing=args.no_timing) + "\n"
     elif args.csv:

@@ -57,9 +57,13 @@ class Kernel:
 
 def kernel(fam: Family, size_cap: int | None = None) -> Kernel:
     """All minimal covers of size <= size_cap (default k; pass n for the
-    full kernel; anything outside [1, n] is refused).  Depth-first search
-    over hitting sets of the first uncovered member, followed by a
-    minimality filter."""
+    full kernel; anything outside [1, n] is refused).
+
+    Depth-first search that branches on the elements of the first member
+    the partial cover misses.  Each sibling branch bans the elements tried
+    before it, so every cover is reached once.  Minimality is decided in
+    the same pass over the members: a cover is minimal iff each of its
+    elements is the only element of the cover that some member meets."""
     cap = fam.k if size_cap is None else size_cap
     if not 1 <= cap <= fam.n:
         raise ValueError(f"kernel size cap must be in [1, {fam.n}], got {cap}")
@@ -68,37 +72,28 @@ def kernel(fam: Family, size_cap: int | None = None) -> Kernel:
     if not is_intersecting(fam):
         raise ValueError("kernel requires an intersecting family")
     ms = fam.members
-    found: set[int] = set()
-
-    def dfs(cov: int, size: int):
-        for m in ms:
-            if not m & cov:
-                if size == cap:
-                    return
-                mm = m
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    dfs(cov | b, size + 1)
-                return
-        found.add(cov)
-
-    dfs(0, 0)
-
-    def minimal(c: int) -> bool:
-        cc = c
-        while cc:
-            b = cc & -cc
-            cc ^= b
-            if is_cover(fam, c ^ b):
-                return False
-        return True
-
     layers: dict[int, list[int]] = {i: [] for i in range(1, cap + 1)}
-    for c in sorted(found):
-        if minimal(c):
-            layers[c.bit_count()].append(c)
-    return Kernel(cap, {i: tuple(v) for i, v in layers.items()})
+
+    def dfs(cov: int, size: int, banned: int):
+        private = 0  # elements of cov that some member meets alone
+        for m in ms:
+            hit = m & cov
+            if not hit:
+                if size < cap:
+                    free = m & ~banned
+                    while free:
+                        b = free & -free
+                        free ^= b
+                        dfs(cov | b, size + 1, banned)
+                        banned |= b
+                return
+            if not hit & (hit - 1):
+                private |= hit
+        if private == cov:
+            layers[size].append(cov)
+
+    dfs(0, 0, 0)
+    return Kernel(cap, {i: tuple(sorted(v)) for i, v in layers.items()})
 
 
 def kernel_layer_sizes(fam: Family) -> tuple[int, ...]:

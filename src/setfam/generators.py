@@ -104,18 +104,16 @@ def gen_meets_front(n: int, k: int, s: int) -> Family:
     return Family(n, k, tuple(m for m in all_ksets(n, k) if m & front))
 
 
-def gen_complete(n: int, k: int, member_cap: int = COMPLETE_CAP) -> Family:
-    """All C(n,k) k-subsets of [n], refused above member_cap."""
+def gen_complete(n: int, k: int) -> Family:
+    """All C(n,k) k-subsets of [n], refused above COMPLETE_CAP."""
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n], got {k}")
-    if comb(n, k) > member_cap:
-        raise ValueError(f"C({n},{k}) = {comb(n, k)} exceeds the cap {member_cap}")
-    masks = sorted(sum(1 << i for i in c) for c in combinations(range(n), k))
-    return Family(n, k, tuple(masks))
+    return Family(n, k, tuple(all_ksets(n, k)))
 
 
-def gen_constrained(spec: ConstraintSpec, k: int, member_cap: int = COMPLETE_CAP) -> Family:
-    """All k-sets of [n] satisfying the block quotas under the given mode.
+def gen_constrained(spec: ConstraintSpec, k: int) -> Family:
+    """All k-sets of [n] satisfying the block quotas under the given mode,
+    refused when C(n,k) exceeds COMPLETE_CAP.
 
     Infeasible quota combinations yield an empty family rather than an
     error, so parameter sweeps never abort.
@@ -123,25 +121,27 @@ def gen_constrained(spec: ConstraintSpec, k: int, member_cap: int = COMPLETE_CAP
     n = spec.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, n], got {k}")
-    if comb(n, k) > member_cap:
-        raise ValueError(f"C({n},{k}) = {comb(n, k)} exceeds the cap {member_cap}")
     pairs = list(zip(spec.blocks, spec.quotas))
     if spec.mode == "exact":
+        # the rest of [n] takes the remaining quota; a negative or
+        # oversized remainder matches no k-set
         rest = ((1 << n) - 1) & ~sum(spec.blocks)
-        rest_quota = k - sum(spec.quotas)
-        if rest_quota < 0 or rest_quota > rest.bit_count():
-            return Family(n, k, ())
-        if rest:
-            pairs.append((rest, rest_quota))
+        pairs.append((rest, k - sum(spec.quotas)))
         keep = lambda m: all((m & b).bit_count() == q for b, q in pairs)
     else:
-        if sum(spec.quotas) > k:
-            return Family(n, k, ())
         keep = lambda m: all((m & b).bit_count() >= q for b, q in pairs)
-    masks = sorted(
-        m for c in combinations(range(n), k) if keep(m := sum(1 << i for i in c))
-    )
-    return Family(n, k, tuple(masks))
+    return Family(n, k, tuple(m for m in all_ksets(n, k) if keep(m)))
+
+
+def consecutive_blocks(sizes) -> tuple[KSet, ...]:
+    """Consecutive blocks of [sum(sizes)] with the given sizes, in order:
+    {1..s_1}, {s_1+1..s_1+s_2}, and so on."""
+    blocks = []
+    lo = 0
+    for s in sizes:
+        blocks.append(sum(1 << j for j in range(lo, lo + s)))
+        lo += s
+    return tuple(blocks)
 
 
 # --- constraint-spec text format -------------------------------------------

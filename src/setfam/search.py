@@ -13,7 +13,7 @@ from . import _kernels
 from .bounds import triple_transversal_bound
 from .enumeration import intersection_adjacency
 from .famcore import Family, degree_profile, is_intersecting
-from .generators import ConstraintSpec, gen_constrained
+from .generators import ConstraintSpec, consecutive_blocks, gen_constrained
 
 DEFAULT_MEMBER_CAP = 5000
 
@@ -145,8 +145,4 @@ def make_triple_blocks(m: int, ell: int) -> ConstraintSpec:
     in [m], at-least quotas (1, 1, 1)."""
     if m < 3 * ell:
         raise ValueError(f"need m >= 3*ell, got m={m}, ell={ell}")
-    blocks = []
-    for i in range(3):
-        lo = i * ell
-        blocks.append(sum(1 << j for j in range(lo, lo + ell)))
-    return ConstraintSpec(m, tuple(blocks), (1, 1, 1), "atleast")
+    return ConstraintSpec(m, consecutive_blocks((ell, ell, ell)), (1, 1, 1), "atleast")

@@ -201,6 +201,47 @@ def test_theorems_kernel_once_per_family(monkeypatch):
     assert len(calls) == 6127 + 1
 
 
+THEOREMS_CHECKS = [
+    "triple-transversal-12-3-4",
+    "triple-transversal-13-3-4",
+    "triple-transversal-degenerate",
+    "direct-product-ratio-4x4-1x2",
+    "direct-product-ratio-4x4-2x1",
+    "direct-product-ratio-2x6-1x1",
+    "direct-product-ratio-2x3x3-1x1x1",
+    "frankl-wilson-7-3-2",
+    "frankl-wilson-8-3-2",
+    "frankl-wilson-9-4-3",
+    "matching-tightness-9-3-2",
+    "matching-tightness-8-2-2",
+    "matching-tightness-12-3-3",
+    "fano-cover-number",
+    "kernel-K1-empty-iff-nontrivial-7-3",
+    "kernel-size-capped-intersecting-7-3",
+    "kernel-layer3-bound-7-3",
+    "kernel-hm-9-3",
+    "audit-telescoping-grid",
+    "audit-vandermonde-grid",
+    "audit-tail-ratio-grid",
+    "audit-degree-size-chain-grid",
+    "audit-inclusion-exclusion-grid",
+]
+
+
+def test_theorems_check_names_pinned():
+    # the names and their order are part of the report bytes
+    assert [c.name for c in cli.suite_theorems().checks] == THEOREMS_CHECKS
+
+
+def test_prop_k3_degree_bound_is_computed(monkeypatch):
+    # min-degree-bound compares against bounds.hm_min_degree, not a literal
+    monkeypatch.setattr(cli.bounds, "hm_min_degree", lambda n, k: 2)
+    checks = {c.name: c for c in cli.suite_prop_k3(7).checks}
+    assert checks["min-degree-bound"].status == "fail"
+    assert checks["min-degree-bound"].expected == "delta <= 2 on non-trivial classes"
+    assert checks["hm-class-present"].status == "fail"
+
+
 def test_theorems_kernel_crash_fails_only_kernel_checks(monkeypatch):
     def broken(*a, **kw):
         raise RuntimeError("boom")

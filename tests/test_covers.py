@@ -66,6 +66,29 @@ def test_kernel_full_enumeration():
     assert len(kern.layers[5]) == 6
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_kernel_matches_powerset_oracle(data):
+    # part of an HM-style family: s plus some k-sets through x that meet s,
+    # so intersecting but in general not maximal
+    n = data.draw(st.integers(3, 8))
+    k = data.draw(st.integers(2, n - 1))
+    x = data.draw(st.integers(1, n))
+    others = [e for e in range(1, n + 1) if e != x]
+    s = kset(data.draw(st.lists(st.sampled_from(others), min_size=k, max_size=k, unique=True)))
+    through_x = [m for m in gen_full_star(n, k, x).members if m & s]
+    members = data.draw(st.lists(st.sampled_from(through_x), min_size=1, max_size=8, unique=True))
+    if data.draw(st.booleans()):
+        members.append(s)
+    fam = Family(n, k, tuple(sorted(members)))
+    cap = data.draw(st.integers(1, n))
+    want = brute_minimal_covers(fam.members, n, cap)
+    kern = kernel(fam, cap)
+    assert sorted(kern.layers) == list(range(1, cap + 1))
+    for i, layer in kern.layers.items():
+        assert layer == tuple(c for c in want if c.bit_count() == i)
+
+
 def test_kernel_preconditions():
     with pytest.raises(ValueError):
         kernel(family(6, 3, [(1, 2, 3), (4, 5, 6)]))

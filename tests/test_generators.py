@@ -102,8 +102,14 @@ def test_complete():
     assert len(gen_complete(5, 2)) == 10
     assert len(gen_complete(7, 3)) == 35
     assert len(gen_complete(4, 4)) == 1
-    with pytest.raises(ValueError):
-        gen_complete(40, 20, member_cap=10_000)
+    with pytest.raises(ValueError, match="cap"):
+        gen_complete(40, 20)
+
+
+def test_constrained_refuses_oversized_sweep():
+    spec = ConstraintSpec(40, (kset((1, 2, 3)),), (1,), "atleast")
+    with pytest.raises(ValueError, match="cap"):
+        gen_constrained(spec, 20)
 
 
 def test_constrained_exact_product():
