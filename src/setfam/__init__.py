@@ -26,6 +26,7 @@ from .famcore import (
     maximal_closure,
     parse_fam,
     subfamily_at,
+    twin_classes,
 )
 from .generators import (
     ConstraintSpec,

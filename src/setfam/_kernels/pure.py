@@ -42,7 +42,7 @@ def maximal_cliques(adj, nv: int) -> list[int]:
     return out
 
 
-def max_clique_size(adj, nv: int, cand: int, lb: int = 0) -> int:
+def max_clique_size(adj, nv: int, cand: int, lb: int = 0, orbit=None) -> int:
     """max(lb, size of the largest clique induced on the cand vertex set).
 
     lb must be the size of a clique known to exist (it seeds the pruning
@@ -51,6 +51,15 @@ def max_clique_size(adj, nv: int, cand: int, lb: int = 0) -> int:
     Branch and bound with greedy-coloring bounds (Tomita & Seki's MCQ),
     run on an explicit stack of frames (p, size, order, colors, i), so
     the clique size is not limited by the recursion limit.
+
+    orbit, when given, maps each vertex to the vertex mask of its orbit
+    under a group of graph automorphisms, and cand must be a union of
+    orbits.  The root frame then branches once per orbit (orbital
+    branching): where it would branch on v it branches on u, the
+    lowest-index vertex of v's orbit still in P, and then removes the
+    whole orbit from P.  An automorphism carries any clique in P that
+    meets the orbit to one through u, still inside P because P stays a
+    union of orbits.  Inner frames run as with orbit=None.
     """
     best = lb if lb > 0 else 0
     if not cand:
@@ -86,8 +95,18 @@ def max_clique_size(adj, nv: int, cand: int, lb: int = 0) -> int:
             if i >= 0 and size + colors[i] > best:
                 v = order[i]
                 i -= 1
-                np_ = p & adj[v]
-                p ^= 1 << v
+                if not stack and orbit is not None:
+                    # root frame: what is left of P still lies in
+                    # order[0..i], so colors[i] bounds it as before
+                    o = orbit[v] & p
+                    if not o:
+                        continue  # v went with an earlier orbit
+                    v = (o & -o).bit_length() - 1
+                    np_ = p & adj[v]
+                    p ^= o
+                else:
+                    np_ = p & adj[v]
+                    p ^= 1 << v
                 if np_:
                     stack.append((p, size, order, colors, i))
                     p, size = np_, size + 1

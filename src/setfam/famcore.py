@@ -133,6 +133,35 @@ def degree_profile(fam: Family) -> DegreeProfile:
     )
 
 
+def twin_classes(fam: Family) -> tuple[KSet, ...]:
+    """The partition of [n] into twin classes, as element masks ordered by
+    least element.
+
+    Elements a and b are twins when the transposition (a b) maps the
+    member set onto itself.  Twinship is an equivalence ((a c) is
+    (a b)(b c)(a b)), so each element is tested against one
+    representative per class.  Every permutation that keeps each class
+    fixed setwise is then an automorphism of the family, and two members
+    lie in one orbit of that group iff they meet every class in the same
+    number of elements.
+    """
+    present = set(fam.members)
+    reps: list[int] = []  # the least element bit of each class
+    classes: list[KSet] = []
+    for e in range(fam.n):
+        eb = 1 << e
+        for c, rb in enumerate(reps):
+            pair = rb | eb
+            # only members holding exactly one of the two move
+            if all(m ^ pair in present for m in fam.members if (m & pair) not in (0, pair)):
+                classes[c] |= eb
+                break
+        else:
+            reps.append(eb)
+            classes.append(eb)
+    return tuple(classes)
+
+
 def _pairwise_intersecting(masks) -> bool:
     ms = list(masks)
     for i, a in enumerate(ms):

@@ -2,7 +2,9 @@
 
 The largest intersecting subfamily of a host family is the maximum
 clique of the host's intersection graph; the search is exact branch and
-bound with greedy-coloring upper bounds, seeded with the best star.
+bound with greedy-coloring upper bounds, seeded with the best star.  The
+proof of the optimum branches once per member orbit at its root, with the
+orbits taken under the host's ground-set twins.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .bounds import triple_transversal_bound
 from .enumeration import intersection_adjacency
-from .famcore import Family, degree_profile, is_intersecting
+from .famcore import Family, degree_profile, is_intersecting, twin_classes
 from .generators import ConstraintSpec, consecutive_blocks, gen_constrained
 
 DEFAULT_MEMBER_CAP = 5000
@@ -26,15 +28,36 @@ def max_star_size(host: Family) -> tuple[int, int | None]:
     return prof.Delta, prof.argmax[0]
 
 
+def member_orbits(host: Family) -> list[int]:
+    """For each member index, the index mask of its orbit under the
+    permutations of [n] that fix every twin class of the host setwise
+    (see :func:`famcore.twin_classes`); members of one orbit share one
+    int.  Two members share an orbit iff they meet every class in the
+    same number of elements.  Every such permutation is an automorphism
+    of the host, so each orbit is one of the intersection graph."""
+    classes = twin_classes(host)
+    masks: dict[tuple[int, ...], int] = {}
+    keys = []
+    for i, m in enumerate(host.members):
+        key = tuple((m & c).bit_count() for c in classes)
+        masks[key] = masks.get(key, 0) | 1 << i
+        keys.append(key)
+    return [masks[key] for key in keys]
+
+
 def max_intersecting_subfamily(
     host: Family, member_cap: int = DEFAULT_MEMBER_CAP
 ) -> tuple[int, Family]:
     """Exact maximum intersecting subfamily of host with a witness.
 
-    The witness is the lexicographically least optimum (smallest sorted
-    member tuple), found by fixing vertices in ascending order and
-    re-solving the remainder.  Hosts above member_cap are refused; split
-    the host or raise the cap explicitly.
+    The optimum is proved by one clique search that branches once per
+    member orbit at its root (:func:`member_orbits`); the whole vertex
+    set is a union of orbits, as that search requires.  The witness is
+    the lexicographically least optimum (smallest sorted member tuple),
+    found by fixing vertices in ascending order and re-solving the
+    remainder without orbits, since fixing a vertex breaks the symmetry.
+    Hosts above member_cap are refused; split the host or raise the cap
+    explicitly.
     """
     nv = len(host.members)
     if nv > member_cap:
@@ -47,7 +70,7 @@ def max_intersecting_subfamily(
     adj = intersection_adjacency(host.members)
     star, _ = max_star_size(host)
     full = (1 << nv) - 1
-    omega = _kernels.max_clique_size(adj, nv, full, star)
+    omega = _kernels.max_clique_size(adj, nv, full, star, member_orbits(host))
     chosen: list[int] = []
     cand = full
     need = omega

@@ -19,8 +19,10 @@ from setfam.famcore import (
     maximal_closure,
     parse_fam,
     subfamily_at,
+    twin_classes,
 )
-from setfam.generators import HMSpec, gen_full_star, gen_hm
+from setfam.generators import HMSpec, gen_complete, gen_constrained, gen_full_star, gen_hm
+from setfam.search import make_triple_blocks
 
 
 HM93 = gen_hm(HMSpec(9, 3, 1, kset((2, 3, 4))))
@@ -199,6 +201,49 @@ def test_property_closure_monotone_on_chain(fam, rnd):
         fam.n, fam.k, tuple(sorted(set(fam.members) | set(extra[: len(extra) // 2])))
     )
     assert maximal_closure(mid) == closed
+
+
+def brute_twin_classes(fam):
+    """Twin classes by trying every transposition (a b) on the member set,
+    then grouping elements by their set of twins."""
+    present = set(fam.members)
+
+    def swap(m, a, b):
+        if (m >> a & 1) != (m >> b & 1):
+            m ^= (1 << a) | (1 << b)
+        return m
+
+    twins = [
+        sum(1 << b for b in range(fam.n) if {swap(m, a, b) for m in present} == present)
+        for a in range(fam.n)
+    ]
+    return tuple(sorted(set(twins), key=lambda c: c & -c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(max_n=7, max_k=4, max_members=12))
+def test_property_twin_classes_match_transposition_sweep(fam):
+    assert twin_classes(fam) == brute_twin_classes(fam)
+
+
+def test_twin_classes_known_families():
+    assert twin_classes(gen_complete(7, 3)) == (kset(range(1, 8)),)
+    assert twin_classes(gen_full_star(8, 3, 4)) == (kset((1, 2, 3, 5, 6, 7, 8)), kset((4,)))
+    # HM(n, k) at x = 1, S = {2, .., k+1}: {x}, S and the rest
+    for n, k in ((9, 3), (10, 4)):
+        assert twin_classes(gen_hm(HMSpec.standard(n, k))) == (
+            kset((1,)),
+            kset(range(2, k + 2)),
+            kset(range(k + 2, n + 1)),
+        )
+    three = gen_constrained(make_triple_blocks(12, 4), 4)
+    assert twin_classes(three) == (kset(range(1, 5)), kset(range(5, 9)), kset(range(9, 13)))
+    # the edges of the path 1-2-3-4: no transposition keeps them
+    path = family(4, 2, [(1, 2), (2, 3), (3, 4)])
+    assert twin_classes(path) == tuple(kset((e,)) for e in range(1, 5))
+    # elements in no member are all twins
+    assert twin_classes(family(6, 2, [(1, 2)])) == (kset((1, 2)), kset((3, 4, 5, 6)))
+    assert twin_classes(Family(5, 2, ())) == (kset(range(1, 6)),)
 
 
 # --- .fam format -------------------------------------------------------------

@@ -8,6 +8,10 @@ import pytest
 from conftest import brute_canonical, nx_max_clique_size, nx_maximal_cliques
 from setfam import _kernels
 from setfam._kernels import pure
+from setfam.enumeration import intersection_adjacency
+from setfam.famcore import Family, family
+from setfam.generators import ConstraintSpec, gen_constrained
+from setfam.search import member_orbits
 
 
 def random_graph(rng, nv, p):
@@ -72,6 +76,88 @@ def test_max_clique_size_lb_contract():
     assert pure.max_clique_size(adj, 3, 0, 2) == 2
     assert pure.max_clique_size(adj, 3, 0, 0) == 0
     assert pure.max_clique_size(adj, 3, 0b011, 0) == 2
+
+
+def random_block_host(rng, n, k):
+    """The union of one to three gen_constrained hosts on [n], each with
+    random disjoint blocks, quotas and mode, under one random relabelling."""
+    members = set()
+    for _ in range(rng.randint(1, 3)):
+        elems = list(range(n))
+        rng.shuffle(elems)
+        blocks, quotas = [], []
+        lo = 0
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(1, max(1, (n - lo) // 2))
+            if lo + size > n:
+                break
+            blocks.append(sum(1 << e for e in elems[lo : lo + size]))
+            quotas.append(rng.randint(0, min(size, k)))
+            lo += size
+        spec = ConstraintSpec(n, tuple(blocks), tuple(quotas), rng.choice(("exact", "atleast")))
+        members.update(gen_constrained(spec, k).members)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Family(n, k, tuple(sorted(relabel_masks(members, perm))))
+
+
+def check_orbit_path(host):
+    """The orbit path's omega equals the plain kernel's and networkx's;
+    returns whether some orbit has two or more members."""
+    nv = len(host)
+    adj = intersection_adjacency(host.members)
+    full = (1 << nv) - 1
+    orbit = member_orbits(host)
+    want = nx_max_clique_size(adj, nv)
+    assert pure.max_clique_size(adj, nv, full, 0, orbit) == want
+    assert pure.max_clique_size(adj, nv, full, 0) == want
+    return len(set(orbit)) < nv
+
+
+def test_max_clique_size_orbit_path_on_block_hosts():
+    # relabelled unions of block-constrained hosts: their twin classes
+    # are scattered over [n], and most have orbits of two or more members
+    rng = random.Random(11)
+    hosts = symmetric = 0
+    while hosts < 150:
+        host = random_block_host(rng, rng.randint(3, 8), rng.randint(1, 3))
+        if len(host) < 2:
+            continue
+        hosts += 1
+        symmetric += check_orbit_path(host)
+    assert symmetric >= 100
+
+
+# Hosts on which a wrong orbit map loses the optimum.  On both, the
+# lowest-index member {1,2} lies in no maximum clique, so merging every
+# member into one orbit branches on it alone.  On the second, {1,2} also
+# has the triangle members' degree in the intersection graph, and their
+# count vector over the classes of [n] by element degree, so orbits by
+# either degree merge it with the triangle.
+ORBIT_FIXTURES = (
+    # {1,2} apart from the triangle on {3,4,5}: omega 3
+    (family(5, 2, [(1, 2), (3, 4), (3, 5), (4, 5)]), 3),
+    # the path 7-1-2-3 beside the triangle on {4,5,6}: omega 3
+    (family(7, 2, [(1, 2), (2, 3), (1, 7), (4, 5), (4, 6), (5, 6)]), 3),
+)
+
+
+def test_max_clique_size_orbit_path_fixtures():
+    for host, omega in ORBIT_FIXTURES:
+        assert check_orbit_path(host)
+        nv = len(host)
+        adj = intersection_adjacency(host.members)
+        assert pure.max_clique_size(adj, nv, (1 << nv) - 1, 0, member_orbits(host)) == omega
+
+
+def test_max_clique_size_orbit_root_only():
+    # two disjoint triangles, all six vertices one orbit: the root
+    # branches on vertex 0 alone, and its inner frame finds a triangle
+    adj = [0b110, 0b101, 0b011, 0b110000, 0b101000, 0b011000]
+    orbit = [0b111111] * 6
+    assert pure.max_clique_size(adj, 6, 0b111111, 0, orbit) == 3
+    assert pure.max_clique_size(adj, 6, 0b111111, 3, orbit) == 3
+    assert pure.max_clique_size(adj, 6, 0, 2, orbit) == 2
 
 
 def test_canonical_min_against_permutation_sweep():

@@ -70,6 +70,26 @@ def test_full_star_inside_member_cap():
     assert max_intersecting_subfamily(host) == (1820, host)
 
 
+def test_relabelled_three_block_host():
+    # the three 4-blocks of [12] scattered by a fixed permutation: the
+    # twin classes are still the blocks, so the omega proof branches once
+    # per member orbit at its root
+    perm = (7, 2, 11, 4, 0, 9, 5, 1, 10, 3, 8, 6)
+    base = gen_constrained(make_triple_blocks(12, 4), 4)
+    relabelled = (sum(1 << perm[i] for i in range(12) if m >> i & 1) for m in base.members)
+    host = Family(12, 4, tuple(sorted(relabelled)))
+    size, witness = max_intersecting_subfamily(host)
+    assert size == 96
+    assert len(witness) == 96 and is_intersecting(witness)
+    assert set(witness.members) <= set(host.members)
+
+
+def test_complete_10_4_omega():
+    size, witness = max_intersecting_subfamily(gen_complete(10, 4))
+    assert size == comb(9, 3) == 84
+    assert len(witness) == 84 and is_intersecting(witness)
+
+
 def test_member_cap():
     host = gen_complete(7, 3)
     with pytest.raises(ValueError):
