@@ -1,9 +1,9 @@
 """Search kernels: maximal-clique enumeration, max-clique size,
-canonical relabeling and relabeling search, in pure Python (see
-``pure``)."""
+canonical relabeling, relabeling invariants and relabeling search, in
+pure Python (see ``pure``)."""
 
 from . import pure
-from .pure import canonical_min, find_relabeling, max_clique_size, maximal_cliques
+from .pure import canonical_min, find_relabeling, max_clique_size, maximal_cliques, relabel_profile
 
 BACKEND = "pure"
 

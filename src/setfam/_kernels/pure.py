@@ -180,12 +180,15 @@ def canonical_min(n: int, members) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _pair_profile(n: int, members):
-    """(co, inv): co[a][b] counts the members holding both a and b (the
-    diagonal is the degree), and inv[e] = (degree, sorted co row) is
-    element e's relabeling invariant."""
+def relabel_profile(n: int, members):
+    """(mset, co, inv, key): the member set; co[a][b], the number of
+    members holding both a and b (the diagonal is the degree); inv[e] =
+    (degree, sorted co row), element e's relabeling invariant; and key =
+    (size, 0 in mset, sorted inv), the family's.  Equal keys are needed
+    for a relabeling, but do not prove one."""
+    mset = frozenset(members)
     cols = [0] * n  # cols[e]: bitmask of the member indices holding e
-    for i, v in enumerate(members):
+    for i, v in enumerate(mset):
         bit = 1 << i
         while v:
             b = v & -v
@@ -193,12 +196,13 @@ def _pair_profile(n: int, members):
             cols[b.bit_length() - 1] |= bit
     co = [[(c & d).bit_count() for d in cols] for c in cols]
     inv = [(co[e][e], tuple(sorted(co[e]))) for e in range(n)]
-    return co, inv
+    return mset, co, inv, (len(mset), 0 in mset, tuple(sorted(inv)))
 
 
 def find_relabeling(n: int, source, target) -> tuple[int, ...] | None:
-    """A permutation p of [n] carrying the member set source exactly onto
-    target (element e goes to p[e]), or None when no permutation does.
+    """A permutation p of [n] carrying the source family's member set
+    exactly onto the target's (element e goes to p[e]), or None when no
+    permutation does.  source and target are relabel_profile results.
 
     Backtracking over source elements, fewest candidates first.  Element
     invariants prune: e may go only to a target element with the same
@@ -206,14 +210,11 @@ def find_relabeling(n: int, source, target) -> tuple[int, ...] | None:
     co-degree.  Invariants only prune; a member counts as placed only once
     all its elements are assigned and its image is a target member.
     """
-    src = set(source)
-    tgt = set(target)
-    # the empty member has no elements, so no step below places it
-    if len(src) != len(tgt) or (0 in src) != (0 in tgt):
-        return None
-    co_s, inv_s = _pair_profile(n, src)
-    co_t, inv_t = _pair_profile(n, tgt)
-    if sorted(inv_s) != sorted(inv_t):
+    src, co_s, inv_s, key_s = source
+    tgt, co_t, inv_t, key_t = target
+    # the key holds the sizes and the empty member, which no step below
+    # places because it has no elements
+    if key_s != key_t:
         return None
     cands = [[t for t in range(n) if inv_t[t] == inv_s[e]] for e in range(n)]
     order = sorted(range(n), key=lambda e: len(cands[e]))

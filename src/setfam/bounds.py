@@ -60,16 +60,16 @@ def hm_bound(n: int, k: int) -> int:
 def hm_min_degree(n: int, k: int) -> int:
     """Minimum degree of the Hilton-Milner family:
     C(n-2,k-2) - C(n-k-2,k-2)."""
-    if n < k + 2:
-        raise ValueError(f"need n >= k + 2, got n={n}, k={k}")
+    if not 1 <= k <= n - 2:
+        raise ValueError(f"need 1 <= k <= n - 2, got k={k}, n={n}")
     return binom(n - 2, k - 2) - binom(n - k - 2, k - 2)
 
 
 def frankl_wilson_bound(n: int, k: int, t: int) -> tuple[int, bool]:
     """Maximum size of a t-intersecting k-uniform family on [n]:
     C(n-t, k-t), valid for n >= (t+1)(k-t+1) (Frankl, Wilson)."""
-    if not 1 <= t <= k:
-        raise ValueError(f"need 1 <= t <= k, got t={t}, k={k}")
+    if not 1 <= t <= k <= n:
+        raise ValueError(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
     return binom(n - t, k - t), n >= (t + 1) * (k - t + 1)
 
 
@@ -88,8 +88,8 @@ def matching_threshold(n: int, k: int, s: int) -> tuple[int, bool]:
     """Families larger than C(n,k) - C(n-s,k) contain a matching of size
     s+1; valid for n >= (2s+1)k - s.  gen_meets_front(n, k, s) attains the
     threshold exactly with matching number s."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
+    if s < 1 or not 1 <= k <= n:
+        raise ValueError(f"need s >= 1 and 1 <= k <= n, got s={s}, k={k}, n={n}")
     return binom(n, k) - binom(n - s, k), n >= (2 * s + 1) * k - s
 
 
@@ -97,8 +97,8 @@ def hk_gap_constant(n: int, k: int) -> int:
     """Maximum size of a non-trivial intersecting family not contained in
     a Hilton-Milner family (Han, Kohayakawa):
     C(n-1,k-1) - C(n-k-1,k-1) - C(n-k-2,k-2) + 2."""
-    if n <= 2 * k:
-        raise ValueError(f"need n > 2k, got n={n}, k={k}")
+    if k < 1 or n <= 2 * k:
+        raise ValueError(f"need k >= 1 and n > 2k, got n={n}, k={k}")
     return (
         binom(n - 1, k - 1)
         - binom(n - k - 1, k - 1)

@@ -5,6 +5,8 @@ Maximal intersecting k-uniform families on [n] are exactly the maximal
 cliques of the intersection graph on all C(n, k) k-sets, so enumeration
 is maximal-clique enumeration over that graph.  Isomorphism uses the
 minimum relabeling over all permutations of [n] (exact for n <= 10).
+The one relabeling invariant is ``_kernels.relabel_profile``: its key
+buckets families here and is the coarse fingerprint above n = 10.
 Reducing to classes canonicalizes once per class: every later family of
 a class is placed by an explicit relabeling onto the class's canonical
 encode (see ``iso_classes``).
@@ -17,7 +19,7 @@ from typing import Iterable, Iterator
 
 from . import _kernels
 from .covers import cover_number
-from .famcore import Family, all_ksets, degree_profile, is_trivial
+from .famcore import MAX_GROUND, Family, all_ksets, degree_profile, is_trivial
 
 EXACT_CANONICAL_MAX_N = 10
 
@@ -44,7 +46,10 @@ def enumerate_maximal_intersecting(n: int, k: int) -> Iterator[Family]:
     """Yield every maximal intersecting k-uniform family on [n] once, in
     discovery order.  Requires n > 2k: at n = 2k every family avoiding
     both sets of a complement pair extends ambiguously and the count
-    explodes, so that regime is rejected."""
+    explodes, so that regime is rejected, as are n outside [2, MAX_GROUND]
+    and k outside [1, n], before any k-set is built."""
+    if not 2 <= n <= MAX_GROUND or not 1 <= k <= n:
+        raise ValueError(f"need 2 <= n <= {MAX_GROUND} and 1 <= k <= n, got n={n}, k={k}")
     if n <= 2 * k:
         raise UnsupportedRegimeError(
             f"enumeration needs n > 2k, got n={n}, k={k}"
@@ -67,24 +72,13 @@ class CanonicalForm:
 
     Exact mode (n <= 10): key is the minimum sorted member tuple over all
     permutations and `family` is the relabeled Family.  Above that the
-    key degrades to an isomorphism-invariant fingerprint and coarse is
-    True: equal keys then mean "possibly isomorphic" only.
+    key degrades to the relabel_profile key and coarse is True: equal
+    keys then mean "possibly isomorphic" only.
     """
 
     key: tuple
     coarse: bool
     family: Family | None
-
-
-def _certificate(fam: Family) -> tuple:
-    degs = tuple(sorted(degree_profile(fam).degrees))
-    ms = fam.members
-    inter = sorted(
-        (ms[i] & ms[j]).bit_count()
-        for i in range(len(ms))
-        for j in range(i + 1, len(ms))
-    )
-    return (fam.k, len(ms), degs, tuple(inter))
 
 
 def canonical_members(fam: Family) -> tuple[int, ...]:
@@ -95,7 +89,7 @@ def canonical_members(fam: Family) -> tuple[int, ...]:
 def canonical_form(fam: Family) -> CanonicalForm:
     """Canonical form of fam; exact for n <= 10, coarse fingerprint above."""
     if fam.n > EXACT_CANONICAL_MAX_N:
-        return CanonicalForm(_certificate(fam), True, None)
+        return CanonicalForm(_kernels.relabel_profile(fam.n, fam.members)[3], True, None)
     enc = canonical_members(fam)
     return CanonicalForm(enc, False, Family(fam.n, fam.k, enc))
 
@@ -118,9 +112,10 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
     """Group families by canonical form.
 
     Classes are reported by size descending, then by canonical encoding.
-    Families are bucketed by a relabeling invariant (the certificate), and
-    each bucket keeps the canonical encodes of the classes found in it so
-    far.  A family that some permutation carries onto one of those
+    Each family's relabel_profile is built once, and its key picks the
+    family's bucket.  A bucket keeps, for each class found in it so far,
+    the canonical encode and that encode's profile (built once per
+    class).  A family that some permutation carries onto one of those
     encodes joins that class; only a family that relabels onto none of
     them is canonicalized, and it opens a new class in its bucket.  So
     canonicalization runs once per class, every class is still keyed by
@@ -135,15 +130,16 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
             raise ValueError(
                 f"iso_classes needs exact canonical mode (n <= {EXACT_CANONICAL_MAX_N})"
             )
-        encs = buckets.setdefault(_certificate(fam), [])
-        for enc in encs:
-            if _kernels.find_relabeling(fam.n, fam.members, enc) is not None:
+        prof = _kernels.relabel_profile(fam.n, fam.members)
+        known = buckets.setdefault(prof[3], [])
+        for enc, target in known:
+            if _kernels.find_relabeling(fam.n, prof, target) is not None:
                 break
         else:
-            # a certificate is a relabeling invariant, so this class can
-            # live only in this bucket: its encode is new
+            # the key is a relabeling invariant, so this class can live
+            # only in this bucket: its encode is new
             enc = canonical_members(fam)
-            encs.append(enc)
+            known.append((enc, _kernels.relabel_profile(fam.n, enc)))
             counts[enc] = 0
             meta[enc] = Family(fam.n, fam.k, enc)
         counts[enc] += 1

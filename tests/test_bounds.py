@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from setfam import cli
 from setfam.bounds import (
     audit_degree_size_chain,
     audit_inclusion_exclusion,
@@ -118,6 +119,27 @@ def test_hk_gap_constant():
     for k in range(3, 9):
         for n in range(2 * k + 1, 41):
             assert hk_gap_constant(n, k) < hm_bound(n, k)
+
+
+@pytest.mark.parametrize(
+    "name, fn, args",
+    [
+        ("hk-gap", hk_gap_constant, {"n": 9, "k": 0}),
+        ("hm-min-degree", hm_min_degree, {"n": 5, "k": 0}),
+        ("hm-min-degree", hm_min_degree, {"n": 9, "k": -4}),
+        ("matching-threshold", matching_threshold, {"n": 4, "k": 7, "s": 1}),
+        ("frankl-wilson", frankl_wilson_bound, {"n": 3, "k": 5, "t": 2}),
+    ],
+)
+def test_closed_forms_refuse_k_outside_1_n(name, fn, args, capsys):
+    with pytest.raises(ValueError):
+        fn(*args.values())
+    argv = ["bounds", "calc", "--name", name]
+    for p, v in args.items():
+        argv += [f"--{p}", str(v)]
+    assert cli.run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
 
 
 def test_triple_transversal_ledger():

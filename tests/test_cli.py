@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,16 @@ def test_enumerate_command_schema(capsys):
     assert first["size"] == 4 and first["labeled_count"] == 5 and first["trivial"] is True
     code, _, _ = run(capsys, "enumerate", "--n", "6", "--k", "3")
     assert code == 2  # n <= 2k regime
+
+
+def test_enumerate_refuses_out_of_range_before_the_sweep(capsys):
+    # n = 63 would otherwise build a 39,711-vertex intersection graph first
+    for argv in (("--n", "63", "--k", "3"), ("--n", "5", "--k", "0"), ("--n", "1", "--k", "1")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 def test_search_commands(capsys, tmp_path):

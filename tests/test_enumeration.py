@@ -5,9 +5,9 @@ from itertools import permutations
 import pytest
 
 from conftest import brute_canonical, naive_maximal_intersecting
+from setfam._kernels import relabel_profile
 from setfam.enumeration import (
     UnsupportedRegimeError,
-    _certificate,
     canonical_form,
     canonical_members,
     enumerate_maximal_intersecting,
@@ -115,6 +115,16 @@ def test_canonical_form_coarse_above_cap():
     assert form.coarse and form.family is None
 
 
+def test_coarse_key_is_a_relabeling_invariant():
+    star = gen_full_star(12, 3, 1)
+    hm = gen_hm(HMSpec.standard(12, 3))
+    perm = [5, 11, 0, 7, 2, 9, 1, 10, 3, 8, 6, 4]
+    for fam in (star, hm):
+        assert canonical_form(fam).key == canonical_form(relabel(fam, perm)).key
+    assert canonical_form(gen_full_star(12, 3, 7)).key == canonical_form(star).key
+    assert canonical_form(star).key != canonical_form(hm).key
+
+
 def test_canonical_members_brute_force():
     rng = random.Random(3)
     from setfam.famcore import all_ksets
@@ -137,15 +147,18 @@ def test_iso_classes_merges_relabelings():
 
 
 def test_iso_classes_on_partial_shared_bucket():
-    # one certificate bucket of (7,3) holds two classes (orbits of 840 and
+    # one profile-key bucket of (7,3) holds two classes (orbits of 840 and
     # 140); a shuffled part of it is not a union of whole orbits, and must
     # still group exactly as canonicalizing every family does
+    def key(fam):
+        return relabel_profile(fam.n, fam.members)[3]
+
     fams = list(enumerate_maximal_intersecting(7, 3))
-    by_cert = Counter(_certificate(c.canonical) for c in iso_classes(fams))
-    shared = [cert for cert, classes in by_cert.items() if classes > 1]
+    by_key = Counter(key(c.canonical) for c in iso_classes(fams))
+    shared = [k for k, classes in by_key.items() if classes > 1]
     assert len(shared) == 1
     rng = random.Random(12)
-    sample = rng.sample([f for f in fams if _certificate(f) == shared[0]], 150)
+    sample = rng.sample([f for f in fams if key(f) == shared[0]], 150)
     want = Counter(canonical_members(f) for f in sample)
     assert len(want) == 2
     got = iso_classes(sample)

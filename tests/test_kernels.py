@@ -29,6 +29,11 @@ def relabel_masks(members, perm):
     return {sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1) for m in members}
 
 
+def find_relabeling(n, source, target):
+    """pure.find_relabeling on the profiles of two member lists."""
+    return pure.find_relabeling(n, pure.relabel_profile(n, source), pure.relabel_profile(n, target))
+
+
 def test_maximal_cliques_against_networkx():
     rng = random.Random(5)
     for _ in range(60):
@@ -192,7 +197,7 @@ def test_find_relabeling_against_permutation_sweep():
         exists = any(
             relabel_masks(source, p) == set(target) for p in permutations(range(n))
         )
-        got = pure.find_relabeling(n, source, target)
+        got = find_relabeling(n, source, target)
         assert (got is not None) == exists
         if got is not None:
             found += 1
@@ -200,16 +205,51 @@ def test_find_relabeling_against_permutation_sweep():
             assert relabel_masks(source, got) == set(target)
     assert min(found, cases - found) >= 30  # both outcomes are exercised
     # unequal sizes, and the empty member, never relabel away
-    assert pure.find_relabeling(3, (0b011,), (0b011, 0b101)) is None
-    assert pure.find_relabeling(3, (0, 0b011), (0b110, 0b011)) is None
-    assert pure.find_relabeling(3, (0, 0b011), (0, 0b110)) is not None
+    assert find_relabeling(3, (0b011,), (0b011, 0b101)) is None
+    assert find_relabeling(3, (0, 0b011), (0b110, 0b011)) is None
+    assert find_relabeling(3, (0, 0b011), (0, 0b110)) is not None
+
+
+def test_find_relabeling_where_the_profile_cannot_decide():
+    # the canonical encodes of the two (7,3) classes that share a profile
+    # key (orbits of 840 and 140 labeled copies): every element invariant
+    # agrees, so only the member-image check can tell them apart
+    a = (7, 11, 13, 19, 22, 28, 37, 38, 42, 49)
+    b = (7, 11, 13, 22, 26, 28, 38, 42, 44, 49)
+    pa, pb = pure.relabel_profile(7, a), pure.relabel_profile(7, b)
+    assert pa[3] == pb[3]
+    assert pure.canonical_min(7, a) != pure.canonical_min(7, b)
+    assert pure.find_relabeling(7, pa, pb) is None
+    assert pure.find_relabeling(7, pb, pa) is None
+    perm = [3, 0, 6, 4, 2, 5, 1]
+    moved = tuple(relabel_masks(a, perm))
+    got = find_relabeling(7, moved, a)
+    assert got is not None and relabel_masks(moved, got) == set(a)
+    assert find_relabeling(7, moved, b) is None
+
+
+def test_relabel_profile_fields():
+    members = (0b0011, 0b0101, 0b0110, 0b1001)
+    mset, co, inv, key = pure.relabel_profile(4, members)
+    assert mset == frozenset(members)
+    assert [co[e][e] for e in range(4)] == [3, 2, 2, 1]
+    assert co[0][1] == co[1][0] == 1 and co[1][2] == 1 and co[2][3] == 0
+    assert inv[0] == (3, (1, 1, 1, 3))
+    assert key == (4, False, tuple(sorted(inv)))
+    assert pure.relabel_profile(4, (0,) + members)[3][:2] == (5, True)
 
 
 def test_backend_interface():
     assert _kernels.BACKEND == "pure"
     assert _kernels.available_backends() == ["pure"]
     backend = _kernels.load_backend("pure")
-    for name in ("maximal_cliques", "max_clique_size", "canonical_min", "find_relabeling"):
+    for name in (
+        "maximal_cliques",
+        "max_clique_size",
+        "canonical_min",
+        "relabel_profile",
+        "find_relabeling",
+    ):
         assert getattr(backend, name) is getattr(_kernels, name)
     with pytest.raises(ValueError):
         _kernels.load_backend("compiled")
