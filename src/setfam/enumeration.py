@@ -111,19 +111,19 @@ class IsoClass:
 def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
     """Group families by canonical form.
 
-    Classes are reported by size descending, then by canonical encoding.
-    Each family's relabel_profile is built once, and its key picks the
-    family's bucket.  A bucket keeps, for each class found in it so far,
-    the canonical encode and that encode's profile (built once per
-    class).  A family that some permutation carries onto one of those
-    encodes joins that class; only a family that relabels onto none of
-    them is canonicalized, and it opens a new class in its bucket.  So
+    Classes are reported by size descending, then by canonical encoding,
+    then by n and k.  Each family's relabel_profile is built once, and its
+    key, with the family's n and k, picks the family's bucket.  A bucket
+    keeps, for each class found in it so far, the class key (n, k and the
+    canonical encode) and that encode's profile (built once per class).
+    A family that some permutation carries onto one of those encodes
+    joins that class; only a family that relabels onto none of them is
+    canonicalized, and it opens a new class in its bucket.  So
     canonicalization runs once per class, every class is still keyed by
-    its exact minimum encode, and no assumption is made about which
-    labeled copies the input holds.
+    its exact minimum encode on its own n and k, and no assumption is
+    made about which labeled copies the input holds.
     """
     counts: dict[tuple, int] = {}
-    meta: dict[tuple, Family] = {}
     buckets: dict[tuple, list[tuple]] = {}
     for fam in families:
         if fam.n > EXACT_CANONICAL_MAX_N:
@@ -131,25 +131,26 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
                 f"iso_classes needs exact canonical mode (n <= {EXACT_CANONICAL_MAX_N})"
             )
         prof = _kernels.relabel_profile(fam.n, fam.members)
-        known = buckets.setdefault(prof[3], [])
-        for enc, target in known:
+        known = buckets.setdefault((fam.n, fam.k, prof[3]), [])
+        for key, target in known:
             if _kernels.find_relabeling(fam.n, prof, target) is not None:
                 break
         else:
-            # the key is a relabeling invariant, so this class can live
-            # only in this bucket: its encode is new
+            # the bucket key is a relabeling invariant, so this class can
+            # live only in this bucket: its key is new
             enc = canonical_members(fam)
-            known.append((enc, _kernels.relabel_profile(fam.n, enc)))
-            counts[enc] = 0
-            meta[enc] = Family(fam.n, fam.k, enc)
-        counts[enc] += 1
+            key = (fam.n, fam.k, enc)
+            known.append((key, _kernels.relabel_profile(fam.n, enc)))
+            counts[key] = 0
+        counts[key] += 1
     out = []
-    for enc, rep in meta.items():
+    for key, count in counts.items():
+        rep = Family(*key)
         prof = degree_profile(rep)
         out.append(
             IsoClass(
                 canonical=rep,
-                labeled_count=counts[enc],
+                labeled_count=count,
                 size=len(rep),
                 delta=prof.delta,
                 Delta=prof.Delta,
@@ -157,5 +158,5 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
                 trivial=is_trivial(rep) is not None,
             )
         )
-    out.sort(key=lambda c: (-c.size, c.canonical.members))
+    out.sort(key=lambda c: (-c.size, c.canonical.members, c.canonical.n, c.canonical.k))
     return out

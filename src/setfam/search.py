@@ -4,7 +4,9 @@ The largest intersecting subfamily of a host family is the maximum
 clique of the host's intersection graph; the search is exact branch and
 bound with greedy-coloring upper bounds, seeded with the best star.  The
 proof of the optimum branches once per member orbit at its root, with the
-orbits taken under the host's ground-set twins.
+orbits taken under the host's ground-set twins.  The lex-least witness is
+then rebuilt member by member; a step searches only when no known optimum
+(the best star, or a greedy completion) already contains it.
 """
 
 from __future__ import annotations
@@ -50,12 +52,30 @@ def max_intersecting_subfamily(
 ) -> tuple[int, Family]:
     """Exact maximum intersecting subfamily of host with a witness.
 
-    The optimum is proved by one clique search that branches once per
-    member orbit at its root (:func:`member_orbits`); the whole vertex
+    The optimum omega is proved by one clique search that branches once
+    per member orbit at its root (:func:`member_orbits`); the whole vertex
     set is a union of orbits, as that search requires.  The witness is
-    the lexicographically least optimum (smallest sorted member tuple),
-    found by fixing vertices in ascending order and re-solving the
-    remainder without orbits, since fixing a vertex breaks the symmetry.
+    the lexicographically least optimum (smallest sorted member tuple).
+    It is built greedily: visiting vertices in ascending order, v joins
+    the chosen ones exactly when some omega-clique contains them all
+    and v.
+
+    A certificate decides most steps without search: an omega-clique
+    containing every chosen vertex, or nothing.  It starts as the best
+    star when that star has omega members.  A step accepts v at once when
+    the certificate holds v.  Otherwise the greedy completion (the chosen
+    vertices, v, then their common neighbours in ascending order, each
+    kept when adjacent to all kept so far) is a clique; if it has omega
+    members it proves the step and becomes the certificate.  Only when
+    neither holds does a clique search on those common neighbours decide,
+    without orbits, since fixing a vertex breaks the symmetry.  An
+    acceptance by search clears the certificate, which lacks v.  A
+    rejection keeps it, since the chosen vertices are unchanged, and
+    drops v from the candidates: the chosen vertices only grow, so no
+    later omega-clique through them holds v.  Every accepted step is
+    proved by an omega-clique and every rejected one by a search, so the
+    witness is the one a search at every step gives.
+
     Hosts above member_cap are refused; split the host or raise the cap
     explicitly.
     """
@@ -68,23 +88,43 @@ def max_intersecting_subfamily(
     if nv == 0:
         return 0, host
     adj = intersection_adjacency(host.members)
-    star, _ = max_star_size(host)
+    star, center = max_star_size(host)
     full = (1 << nv) - 1
     omega = _kernels.max_clique_size(adj, nv, full, star, member_orbits(host))
-    chosen: list[int] = []
+    cert = 0
+    if omega == star:
+        cert = sum(1 << i for i, m in enumerate(host.members) if m >> (center - 1) & 1)
+    chosen = 0
     cand = full
     need = omega
     for v in range(nv):
         if need == 0:
             break
-        if not (cand >> v) & 1:
+        bit = 1 << v
+        if not cand & bit:
             continue
         sub = cand & adj[v]
-        if 1 + _kernels.max_clique_size(adj, nv, sub, need - 2) >= need:
-            chosen.append(v)
-            cand = sub
-            need -= 1
-    witness = Family(host.n, host.k, tuple(host.members[v] for v in chosen))
+        if not cert & bit:
+            # greedy completion: walk sub in ascending order, keeping each
+            # vertex adjacent to all kept so far
+            g, rest = chosen | bit, sub
+            while rest:
+                b = rest & -rest
+                g |= b
+                rest &= adj[b.bit_length() - 1]
+            if g.bit_count() == omega:
+                cert = g
+            elif 1 + _kernels.max_clique_size(adj, nv, sub, need - 2) >= need:
+                cert = 0
+            else:
+                cand ^= bit
+                continue
+        chosen |= bit
+        cand = sub
+        need -= 1
+    witness = Family(
+        host.n, host.k, tuple(m for i, m in enumerate(host.members) if chosen >> i & 1)
+    )
     if len(witness) != omega or not is_intersecting(witness):
         raise AssertionError("witness reconstruction failed")
     return omega, witness

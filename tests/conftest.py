@@ -44,6 +44,13 @@ def nx_max_clique_size(adjacency_masks, nv):
     return max((len(c) for c in nx.find_cliques(g)), default=0)
 
 
+def nx_lex_least_max_clique(adjacency_masks, nv):
+    """The least sorted vertex tuple among networkx's maximum cliques."""
+    cliques = [tuple(sorted(c)) for c in nx_maximal_cliques(adjacency_masks, nv)]
+    top = max(map(len, cliques), default=0)
+    return min((c for c in cliques if len(c) == top), default=())
+
+
 def nx_maximal_cliques(adjacency_masks, nv):
     g = nx.Graph()
     g.add_nodes_from(range(nv))

@@ -210,3 +210,18 @@ def test_class_stats_consistency():
     for c in iso_classes(enumerate_maximal_intersecting(5, 2)):
         assert c.size == len(c.canonical)
         assert (is_trivial(c.canonical) is not None) == c.trivial
+
+
+def test_iso_classes_keeps_other_n_and_k_apart():
+    # the same member masks on [8], or the empty family at another k, are
+    # other classes: every input family is counted once, in a class of
+    # its own n and k
+    star = gen_full_star(7, 3, 1)
+    cases = (
+        ([star, star, Family(8, 3, star.members)], [(7, 3, 2), (8, 3, 1)]),
+        ([Family(7, 2, ()), Family(7, 3, ())], [(7, 2, 1), (7, 3, 1)]),
+    )
+    for fams, want in cases:
+        classes = iso_classes(fams)
+        got = sorted((c.canonical.n, c.canonical.k, c.labeled_count) for c in classes)
+        assert got == want

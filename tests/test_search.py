@@ -1,15 +1,17 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from conftest import nx_max_clique_size
+from conftest import nx_lex_least_max_clique, nx_max_clique_size
 from setfam.bounds import binom
 from setfam.enumeration import intersection_adjacency
-from setfam.famcore import Family, is_intersecting, is_trivial, kset
+from setfam.famcore import Family, all_ksets, family, is_intersecting, is_trivial, kset
 from setfam.generators import (
     ConstraintSpec,
     HMSpec,
+    consecutive_blocks,
     gen_complete,
     gen_constrained,
     gen_full_star,
@@ -57,6 +59,71 @@ def test_witness_is_lex_least():
     assert witness.members == tuple(sorted(kset((1, x)) for x in range(2, 6)))
 
 
+def test_complete_2k_witness_avoids_n():
+    # at n = 2k the lex-least optimum of the complete host takes one set of
+    # each complement pair, the one that avoids n
+    for n, k in ((6, 3), (8, 4), (10, 5)):
+        size, witness = max_intersecting_subfamily(gen_complete(n, k))
+        assert size == comb(n - 1, k)
+        assert witness.members == tuple(all_ksets(n - 1, k))
+
+
+def oracle_hosts(count, seed):
+    """Seeded hosts on [n], n <= 8, of at most 36 members, in four kinds
+    taken in turn: random k-sets; relabelled unions of two
+    block-constrained hosts; partial Hilton-Milner families with a few
+    random k-sets added; and tight-block hosts (every member holds two of
+    three fixed elements, so they all meet and beat every star) with a
+    few random k-sets added."""
+    rng = random.Random(seed)
+    hosts = []
+    while len(hosts) < count:
+        n, k = rng.randint(5, 8), rng.randint(2, 3)
+        pool = all_ksets(n, k)
+        kind = len(hosts) % 4
+        if kind == 0:
+            members = rng.sample(pool, rng.randint(1, min(len(pool), 30)))
+        elif kind == 1:
+            members = []
+            for _ in range(2):
+                a = rng.randint(1, n - 1)
+                b = rng.randint(1, n - a)
+                quotas = (rng.randint(1, min(a, k)), rng.randint(1, min(b, k)))
+                spec = ConstraintSpec(
+                    n, consecutive_blocks((a, b)), quotas, rng.choice(("exact", "atleast"))
+                )
+                members += gen_constrained(spec, k).members
+        elif kind == 2:
+            hm = gen_hm(HMSpec.standard(n, k)).members
+            members = rng.sample(hm, len(hm) - rng.randint(0, 2))
+            members += rng.sample(pool, rng.randint(1, 4))
+        else:
+            tight = ConstraintSpec(n, (kset((1, 2, 3)),), (2,), "atleast")
+            members = list(gen_constrained(tight, k).members)
+            members += rng.sample(pool, rng.randint(0, 5))
+        perm = list(range(n))
+        if kind:
+            rng.shuffle(perm)
+        members = {sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in members}
+        if 0 < len(members) <= 36:
+            hosts.append(family(n, k, members))
+    return hosts
+
+
+def test_witness_matches_lex_least_oracle():
+    hosts = oracle_hosts(160, seed=9)
+    above_star = 0
+    for host in hosts:
+        want = nx_lex_least_max_clique(intersection_adjacency(host.members), len(host))
+        size, witness = max_intersecting_subfamily(host)
+        assert size == len(want)
+        assert witness.members == tuple(host.members[i] for i in want)
+        above_star += size > max_star_size(host)[0]
+    # both starts are exercised: hosts whose best star is an optimum, and
+    # hosts where every star falls short
+    assert min(above_star, len(hosts) - above_star) >= 30
+
+
 def test_intersecting_host_returns_itself():
     hm = gen_hm(HMSpec.standard(9, 3))
     size, witness = max_intersecting_subfamily(hm)
@@ -65,7 +132,7 @@ def test_intersecting_host_returns_itself():
 
 
 def test_full_star_inside_member_cap():
-    # 1820 members: the witness rebuild solves one clique problem per member
+    # 1820 members: the best star is the optimum, so it certifies every step
     host = gen_full_star(17, 5, 1)
     assert max_intersecting_subfamily(host) == (1820, host)
 
