@@ -48,10 +48,8 @@ from .covers import (
     restriction_link,
 )
 from .enumeration import (
-    CanonicalForm,
     IsoClass,
     UnsupportedRegimeError,
-    canonical_form,
     enumerate_maximal_intersecting,
     iso_classes,
 )

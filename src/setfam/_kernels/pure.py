@@ -6,6 +6,8 @@ as a bitmask over vertex indices (no self loops).
 
 from __future__ import annotations
 
+from ..famcore import member_columns
+
 
 def maximal_cliques(adj, nv: int) -> list[int]:
     """All maximal cliques as vertex bitmasks (Bron-Kerbosch, pivoting)."""
@@ -187,13 +189,8 @@ def relabel_profile(n: int, members):
     (size, 0 in mset, sorted inv), the family's.  Equal keys are needed
     for a relabeling, but do not prove one."""
     mset = frozenset(members)
-    cols = [0] * n  # cols[e]: bitmask of the member indices holding e
-    for i, v in enumerate(mset):
-        bit = 1 << i
-        while v:
-            b = v & -v
-            v ^= b
-            cols[b.bit_length() - 1] |= bit
+    # the columns index members in set order; co does not depend on it
+    cols = member_columns(n, mset)
     co = [[(c & d).bit_count() for d in cols] for c in cols]
     inv = [(co[e][e], tuple(sorted(co[e]))) for e in range(n)]
     return mset, co, inv, (len(mset), 0 in mset, tuple(sorted(inv)))

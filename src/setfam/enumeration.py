@@ -6,7 +6,8 @@ cliques of the intersection graph on all C(n, k) k-sets, so enumeration
 is maximal-clique enumeration over that graph.  Isomorphism uses the
 minimum relabeling over all permutations of [n] (exact for n <= 10).
 The one relabeling invariant is ``_kernels.relabel_profile``: its key
-buckets families here and is the coarse fingerprint above n = 10.
+buckets families here.  Above n = 10 there is no exact canonical form,
+and ``iso_classes`` refuses such families.
 Reducing to classes canonicalizes once per class: every later family of
 a class is placed by an explicit relabeling onto the class's canonical
 encode (see ``iso_classes``).
@@ -15,11 +16,14 @@ encode (see ``iso_classes``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import and_
 from typing import Iterable, Iterator
 
 from . import _kernels
 from .covers import cover_number
-from .famcore import MAX_GROUND, Family, all_ksets, degree_profile, is_trivial
+from .famcore import MAX_GROUND, Family, all_ksets, degree_profile, is_trivial, member_columns
 
 EXACT_CANONICAL_MAX_N = 10
 
@@ -28,17 +32,38 @@ class UnsupportedRegimeError(ValueError):
     """Raised for parameter regimes the enumerator refuses (n <= 2k)."""
 
 
-def intersection_adjacency(members, t: int = 1) -> list[int]:
+def intersection_adjacency(members, t: int = 1, *, cols=None) -> list[int]:
     """Bitmask adjacency of the t-intersection graph on the given masks:
-    two members are adjacent when they share at least t elements."""
+    two members are adjacent when they share at least t elements.
+
+    Built from the member columns (:func:`famcore.member_columns`, on the
+    ground set the largest mask spans unless the caller passes cols): the
+    members sharing t elements with member i are the OR, over the t-subsets
+    of its elements, of the AND of their columns; for t = 1, the OR of its
+    elements' columns.  Member i itself is then dropped.  That is m * C(k, t)
+    big-int operations instead of m(m-1)/2 pair tests.  For t <= 0 every
+    two distinct members are adjacent."""
     ms = list(members)
     nv = len(ms)
-    adj = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if (ms[i] & ms[j]).bit_count() >= t:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    if t <= 0:
+        return [((1 << nv) - 1) ^ (1 << i) for i in range(nv)]
+    if cols is None:
+        cols = member_columns(max(ms, default=0).bit_length(), ms)
+    adj = []
+    for i, v in enumerate(ms):
+        own = []  # the columns of member i's elements
+        while v:
+            b = v & -v
+            v ^= b
+            own.append(cols[b.bit_length() - 1])
+        nb = 0
+        if t == 1:
+            for c in own:
+                nb |= c
+        else:
+            for sub in combinations(own, t):
+                nb |= reduce(and_, sub)
+        adj.append(nb & ~(1 << i))
     return adj
 
 
@@ -66,32 +91,9 @@ def enumerate_maximal_intersecting(n: int, k: int) -> Iterator[Family]:
         yield Family(n, k, tuple(mem))
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical key of a family under ground-set relabeling.
-
-    Exact mode (n <= 10): key is the minimum sorted member tuple over all
-    permutations and `family` is the relabeled Family.  Above that the
-    key degrades to the relabel_profile key and coarse is True: equal
-    keys then mean "possibly isomorphic" only.
-    """
-
-    key: tuple
-    coarse: bool
-    family: Family | None
-
-
 def canonical_members(fam: Family) -> tuple[int, ...]:
     """Exact canonical encoding (minimum relabeled member tuple)."""
     return _kernels.canonical_min(fam.n, fam.members)
-
-
-def canonical_form(fam: Family) -> CanonicalForm:
-    """Canonical form of fam; exact for n <= 10, coarse fingerprint above."""
-    if fam.n > EXACT_CANONICAL_MAX_N:
-        return CanonicalForm(_kernels.relabel_profile(fam.n, fam.members)[3], True, None)
-    enc = canonical_members(fam)
-    return CanonicalForm(enc, False, Family(fam.n, fam.k, enc))
 
 
 @dataclass(frozen=True)

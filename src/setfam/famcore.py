@@ -114,15 +114,25 @@ def degree(fam: Family, x: int) -> int:
     return sum(1 for m in fam.members if m & b)
 
 
+def member_columns(n: int, members) -> list[int]:
+    """cols[e]: the mask of the indices i (positions in members) whose
+    member holds element e + 1, for e in range(n).  The popcount of a
+    column is a degree, and the columns of a member's elements together
+    hold every member that meets it."""
+    cols = [0] * n
+    for i, v in enumerate(members):
+        bit = 1 << i
+        while v:
+            b = v & -v
+            v ^= b
+            cols[b.bit_length() - 1] |= bit
+    return cols
+
+
 def degree_profile(fam: Family) -> DegreeProfile:
     """Degrees of all elements of [n]; the minimum ranges over all of [n],
     so elements in no member contribute degree 0."""
-    degs = [0] * fam.n
-    for m in fam.members:
-        while m:
-            b = m & -m
-            degs[b.bit_length() - 1] += 1
-            m ^= b
+    degs = [c.bit_count() for c in member_columns(fam.n, fam.members)]
     lo, hi = min(degs), max(degs)
     return DegreeProfile(
         degrees=tuple(degs),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .bounds import triple_transversal_bound
 from .enumeration import intersection_adjacency
-from .famcore import Family, degree_profile, is_intersecting, twin_classes
+from .famcore import Family, member_columns, twin_classes
 from .generators import ConstraintSpec, consecutive_blocks, gen_constrained
 
 DEFAULT_MEMBER_CAP = 5000
@@ -24,10 +24,15 @@ DEFAULT_MEMBER_CAP = 5000
 
 def max_star_size(host: Family) -> tuple[int, int | None]:
     """(max_x |host(x)|, smallest maximizing x); (0, None) when empty."""
-    if not host.members:
-        return 0, None
-    prof = degree_profile(host)
-    return prof.Delta, prof.argmax[0]
+    return _best_star(member_columns(host.n, host.members))
+
+
+def _best_star(cols) -> tuple[int, int | None]:
+    """The largest column popcount and the least element (1-based) that
+    has it; (0, None) when every column is empty."""
+    degs = [c.bit_count() for c in cols]
+    star = max(degs, default=0)
+    return (star, degs.index(star) + 1) if star else (0, None)
 
 
 def member_orbits(host: Family) -> list[int]:
@@ -52,6 +57,9 @@ def max_intersecting_subfamily(
 ) -> tuple[int, Family]:
     """Exact maximum intersecting subfamily of host with a witness.
 
+    The host's member columns (:func:`famcore.member_columns`) are built
+    once; the intersection graph and the best star come from them.
+
     The optimum omega is proved by one clique search that branches once
     per member orbit at its root (:func:`member_orbits`); the whole vertex
     set is a union of orbits, as that search requires.  The witness is
@@ -74,7 +82,8 @@ def max_intersecting_subfamily(
     drops v from the candidates: the chosen vertices only grow, so no
     later omega-clique through them holds v.  Every accepted step is
     proved by an omega-clique and every rejected one by a search, so the
-    witness is the one a search at every step gives.
+    witness is the one a search at every step gives.  It is checked as an
+    omega-clique of the graph before it is returned.
 
     Hosts above member_cap are refused; split the host or raise the cap
     explicitly.
@@ -87,13 +96,12 @@ def max_intersecting_subfamily(
         )
     if nv == 0:
         return 0, host
-    adj = intersection_adjacency(host.members)
-    star, center = max_star_size(host)
+    cols = member_columns(host.n, host.members)
+    adj = intersection_adjacency(host.members, cols=cols)
+    star, center = _best_star(cols)
     full = (1 << nv) - 1
     omega = _kernels.max_clique_size(adj, nv, full, star, member_orbits(host))
-    cert = 0
-    if omega == star:
-        cert = sum(1 << i for i, m in enumerate(host.members) if m >> (center - 1) & 1)
+    cert = cols[center - 1] if omega == star else 0
     chosen = 0
     cand = full
     need = omega
@@ -122,11 +130,15 @@ def max_intersecting_subfamily(
         chosen |= bit
         cand = sub
         need -= 1
+    # the witness must be an omega-clique of adj: each chosen member
+    # misses no other chosen one
+    if chosen.bit_count() != omega or any(
+        chosen & ~adj[i] != 1 << i for i in range(nv) if chosen >> i & 1
+    ):
+        raise AssertionError("witness reconstruction failed")
     witness = Family(
         host.n, host.k, tuple(m for i, m in enumerate(host.members) if chosen >> i & 1)
     )
-    if len(witness) != omega or not is_intersecting(witness):
-        raise AssertionError("witness reconstruction failed")
     return omega, witness
 
 

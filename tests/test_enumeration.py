@@ -8,7 +8,6 @@ from conftest import brute_canonical, naive_maximal_intersecting
 from setfam._kernels import relabel_profile
 from setfam.enumeration import (
     UnsupportedRegimeError,
-    canonical_form,
     canonical_members,
     enumerate_maximal_intersecting,
     intersection_adjacency,
@@ -34,14 +33,34 @@ def relabel(fam, perm):
 
 
 def test_intersection_adjacency_threshold():
-    ms = all_ksets(6, 3)
-    for t in (1, 2, 3):
+    def check(ms, t):
         adj = intersection_adjacency(ms, t)
+        assert len(adj) == len(ms)
         for i, a in enumerate(ms):
             for j, b in enumerate(ms):
                 shared = i != j and bin(a & b).count("1") >= t
                 assert bool(adj[i] >> j & 1) == shared
+
+    ms = all_ksets(6, 3)
+    for t in (1, 2, 3):
+        check(ms, t)
     assert intersection_adjacency(ms) == intersection_adjacency(ms, 1)
+    # t <= 0: every two distinct members are adjacent, disjoint or empty
+    for t in (0, -2):
+        check(ms, t)
+        check([0, 0, 0b11, 0b100], t)
+    # t above every member's size: no edges
+    assert intersection_adjacency(ms, 4) == [0] * len(ms)
+    assert intersection_adjacency([], 1) == []
+    assert intersection_adjacency([0]) == [0]
+    # seeded non-uniform masks, duplicates and the empty mask included
+    rng = random.Random(12)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        ms = [rng.randrange(1 << n) for _ in range(rng.randint(0, 25))]
+        k = max((m.bit_count() for m in ms), default=0)
+        for t in range(1, k + 2):
+            check(ms, t)
 
 
 def test_5_2_against_powerset_oracle():
@@ -98,31 +117,28 @@ def test_8_3_fifteen_classes():
     assert max(c.size for c in classes) == 21  # the full star on [8]
 
 
-def test_canonical_form_symmetries():
-    a = canonical_form(gen_full_star(7, 3, 1))
-    b = canonical_form(gen_full_star(7, 3, 5))
-    assert a == b and not a.coarse
+def test_canonical_members_symmetries():
+    a = canonical_members(gen_full_star(7, 3, 1))
+    assert a == canonical_members(gen_full_star(7, 3, 5))
     hm1 = gen_hm(HMSpec(7, 3, 1, kset((2, 3, 4))))
     hm2 = gen_hm(HMSpec(7, 3, 7, kset((1, 2, 3))))
-    assert canonical_form(hm1) == canonical_form(hm2)
-    assert canonical_form(hm1) != a
-    assert canonical_form(hm1).family is not None
-
-
-def test_canonical_form_coarse_above_cap():
-    fam = gen_full_star(12, 3, 1)
-    form = canonical_form(fam)
-    assert form.coarse and form.family is None
+    assert canonical_members(hm1) == canonical_members(hm2)
+    assert canonical_members(hm1) != a
+    # the encode is itself a family in the class
+    assert canonical_members(Family(7, 3, canonical_members(hm1))) == canonical_members(hm1)
 
 
 def test_coarse_key_is_a_relabeling_invariant():
+    def key(fam):
+        return relabel_profile(fam.n, fam.members)[3]
+
     star = gen_full_star(12, 3, 1)
     hm = gen_hm(HMSpec.standard(12, 3))
     perm = [5, 11, 0, 7, 2, 9, 1, 10, 3, 8, 6, 4]
     for fam in (star, hm):
-        assert canonical_form(fam).key == canonical_form(relabel(fam, perm)).key
-    assert canonical_form(gen_full_star(12, 3, 7)).key == canonical_form(star).key
-    assert canonical_form(star).key != canonical_form(hm).key
+        assert key(fam) == key(relabel(fam, perm))
+    assert key(gen_full_star(12, 3, 7)) == key(star)
+    assert key(star) != key(hm)
 
 
 def test_canonical_members_brute_force():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -96,6 +97,22 @@ def test_degree_profile_empty():
     prof = degree_profile(Family(5, 2, ()))
     assert prof.degrees == (0,) * 5
     assert prof.delta == prof.Delta == 0
+
+
+def test_degree_profile_matches_degree():
+    rng = random.Random(7)
+    fams = [Family(5, 2, ()), Family(9, 4, ())]
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        k = rng.randint(1, n)
+        pool = all_ksets(n, k)
+        fams.append(family(n, k, rng.sample(pool, rng.randint(0, min(40, len(pool))))))
+    for fam in fams:
+        prof = degree_profile(fam)
+        assert prof.degrees == tuple(degree(fam, x) for x in range(1, fam.n + 1))
+        assert prof.delta == min(prof.degrees) and prof.Delta == max(prof.degrees)
+        assert prof.argmin == tuple(x for x in range(1, fam.n + 1) if degree(fam, x) == prof.delta)
+        assert prof.argmax == tuple(x for x in range(1, fam.n + 1) if degree(fam, x) == prof.Delta)
 
 
 def test_degree_profile_handshake_examples():

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from conftest import nx_lex_least_max_clique, nx_max_clique_size
+from setfam import _kernels, search
 from setfam.bounds import binom
 from setfam.enumeration import intersection_adjacency
 from setfam.famcore import Family, all_ksets, family, is_intersecting, is_trivial, kset
@@ -48,6 +49,26 @@ def test_max_clique_against_networkx():
         adj = intersection_adjacency(host.members)
         size, _ = max_intersecting_subfamily(host)
         assert size == nx_max_clique_size(adj, len(host))
+
+
+def test_witness_self_check(monkeypatch):
+    # a kernel reporting one more than the optimum: no omega-clique exists
+    real = _kernels.max_clique_size
+    monkeypatch.setattr(_kernels, "max_clique_size", lambda *args: real(*args) + 1)
+    with pytest.raises(AssertionError, match="witness reconstruction failed"):
+        max_intersecting_subfamily(gen_complete(6, 2))
+    monkeypatch.undo()
+
+    # a graph in which member 3 does not see member 0: the star certificate
+    # takes all four members, which are then no clique of the graph
+    def one_sided(members, t=1, *, cols=None):
+        adj = intersection_adjacency(members, t, cols=cols)
+        adj[3] &= ~1
+        return adj
+
+    monkeypatch.setattr(search, "intersection_adjacency", one_sided)
+    with pytest.raises(AssertionError, match="witness reconstruction failed"):
+        max_intersecting_subfamily(gen_full_star(5, 2, 1))
 
 
 def test_witness_is_lex_least():
