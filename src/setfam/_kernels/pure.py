@@ -44,30 +44,44 @@ def maximal_cliques(adj, nv: int) -> list[int]:
     return out
 
 
-def max_clique_size(adj, nv: int, cand: int, lb: int = 0, orbit=None) -> int:
+def max_clique_size(adj, nv: int, cand: int, lb: int = 0, host=None) -> int:
     """max(lb, size of the largest clique induced on the cand vertex set).
 
     lb must be the size of a clique known to exist (it seeds the pruning
     bound); the empty graph has clique size 0.
 
     Branch and bound with greedy-coloring bounds (Tomita & Seki's MCQ),
-    run on an explicit stack of frames (p, size, order, colors, i), so
-    the clique size is not limited by the recursion limit.
+    run on an explicit stack of frames (p, size, order, colors, i, sym),
+    so the clique size is not limited by the recursion limit.
 
-    orbit, when given, maps each vertex to the vertex mask of its orbit
-    under a group of graph automorphisms, and cand must be a union of
-    orbits.  The root frame then branches once per orbit (orbital
-    branching): where it would branch on v it branches on u, the
-    lowest-index vertex of v's orbit still in P, and then removes the
-    whole orbit from P.  An automorphism carries any clique in P that
-    meets the orbit to one through u, still inside P because P stays a
-    union of orbits.  Inner frames run as with orbit=None.
+    host, when given, is (members, cols, classes): vertex v is the member
+    mask members[v], cols is famcore.member_columns of the members, and
+    classes are twin classes of the host (famcore.twin_classes), so that
+    every permutation of the ground set fixing each class setwise maps the
+    graph onto itself.  cand must be a union of orbits of that group.
+    Each frame then branches once per orbit (orbital branching, Ostrowski
+    et al. 2011) of the stabiliser of the members chosen on its path.
+    That stabiliser permutes freely within each atom: the classes split by
+    every chosen member (A & u, A - u).  Two members share an orbit iff
+    they meet every atom in the same number of elements.  Where the frame
+    would branch on v it branches on u, the lowest-index vertex of v's
+    orbit still in P, and then removes the whole orbit from P.  Soundness
+    is the same argument in every frame: P is a union of orbits of the
+    frame's group, so a group element carries any clique in P that meets
+    the orbit to one through u, still inside P; removing whole orbits
+    keeps P a union of orbits; and the child's P & adj[u] is a union of
+    orbits of u's stabiliser, because automorphisms fixing u fix adj[u].
+    A child's orbits refine its parent's (see _child_orbits), so a frame
+    has orbits only if every ancestor had them.  Once the group is
+    trivial, or every orbit in P is one vertex, the frame and all its
+    descendants run the plain path.
     """
     best = lb if lb > 0 else 0
     if not cand:
         return best
     stack = []
     p, size = cand, 0
+    sym = None if host is None else _root_orbits(cand, host)
     while True:
         # greedy coloring of p: order vertices by color class, colors ascending
         order: list[int] = []
@@ -97,28 +111,118 @@ def max_clique_size(adj, nv: int, cand: int, lb: int = 0, orbit=None) -> int:
             if i >= 0 and size + colors[i] > best:
                 v = order[i]
                 i -= 1
-                if not stack and orbit is not None:
-                    # root frame: what is left of P still lies in
-                    # order[0..i], so colors[i] bounds it as before
-                    o = orbit[v] & p
+                if sym is not None:
+                    # what is left of P still lies in order[0..i], so
+                    # colors[i] bounds it as before
+                    bit = 1 << v
+                    o = bit
+                    for orb in sym[1]:
+                        if orb & bit:
+                            o = orb & p
+                            break
                     if not o:
                         continue  # v went with an earlier orbit
                     v = (o & -o).bit_length() - 1
                     np_ = p & adj[v]
                     p ^= o
+                    child = _child_orbits(sym, host, v, np_) if np_ & (np_ - 1) else None
                 else:
                     np_ = p & adj[v]
                     p ^= 1 << v
+                    child = None
                 if np_:
-                    stack.append((p, size, order, colors, i))
-                    p, size = np_, size + 1
+                    stack.append((p, size, order, colors, i, sym))
+                    p, size, sym = np_, size + 1, child
                     break
                 if size + 1 > best:
                     best = size + 1
             elif stack:
-                p, size, order, colors, i = stack.pop()
+                p, size, order, colors, i, sym = stack.pop()
             else:
                 return best
+
+
+def _count_planes(cols, elems: int) -> list[int]:
+    """Bit-sliced counter of the columns of the elements in elems: plane j
+    holds the members whose count of those elements has bit j set."""
+    planes: list[int] = []
+    while elems:
+        b = elems & -elems
+        elems ^= b
+        carry = cols[b.bit_length() - 1]
+        if not carry:
+            continue
+        for j, q in enumerate(planes):
+            planes[j] = q ^ carry
+            carry &= q
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
+
+
+def _split(orbits: list[int], planes: list[int]) -> list[int]:
+    """Each orbit split by membership in each plane; parts of one vertex
+    are dropped, since a lone vertex is its own orbit from then on."""
+    for q in planes:
+        out = []
+        for o in orbits:
+            a = o & q
+            if a and a != o:
+                o ^= a
+                if a & (a - 1):
+                    out.append(a)
+                if o & (o - 1):
+                    out.append(o)
+            else:
+                out.append(o)
+        orbits = out
+    return orbits
+
+
+def _root_orbits(cand: int, host):
+    """(atoms, orbits) of the group fixing every class, on cand, or None
+    when that group is trivial on cand.  Only atoms and orbits of two or
+    more elements are kept; a vertex in no listed orbit is its own."""
+    _, cols, classes = host
+    atoms = [a for a in classes if a & (a - 1)]
+    if not atoms or not cand & (cand - 1):
+        return None
+    orbits = [cand]
+    for a in classes:
+        orbits = _split(orbits, _count_planes(cols, a))
+    return (atoms, orbits) if orbits else None
+
+
+def _child_orbits(sym, host, u: int, np_: int):
+    """(atoms, orbits) of the stabiliser of member u within the frame's
+    group, on the child set np_, or None when it is trivial there.
+
+    Each parent orbit is cut down to np_ and split by the counts over the
+    halves of the atoms u splits.  Counting one half suffices: the parent
+    orbit already fixes the count over the whole atom."""
+    atoms, orbits = sym
+    members, cols, _ = host
+    mu = members[u]
+    orbits = [o for o in (o & np_ for o in orbits) if o & (o - 1)]
+    if not orbits:
+        return None
+    new_atoms: list[int] = []
+    for a in atoms:
+        x = a & mu
+        if x and x != a:
+            y = a ^ x
+            if x & (x - 1):
+                new_atoms.append(x)
+            if y & (y - 1):
+                new_atoms.append(y)
+            # count the smaller half: fewer columns to add
+            half = x if x.bit_count() <= y.bit_count() else y
+            orbits = _split(orbits, _count_planes(cols, half))
+        else:
+            new_atoms.append(a)
+    return (new_atoms, orbits) if new_atoms and orbits else None
 
 
 def canonical_min(n: int, members) -> tuple[int, ...]:

@@ -143,7 +143,7 @@ def degree_profile(fam: Family) -> DegreeProfile:
     )
 
 
-def twin_classes(fam: Family) -> tuple[KSet, ...]:
+def twin_classes(fam: Family, *, cols=None) -> tuple[KSet, ...]:
     """The partition of [n] into twin classes, as element masks ordered by
     least element.
 
@@ -154,21 +154,35 @@ def twin_classes(fam: Family) -> tuple[KSet, ...]:
     fixed setwise is then an automorphism of the family, and two members
     lie in one orbit of that group iff they meet every class in the same
     number of elements.
+
+    The test reads the member columns (:func:`member_columns`, built here
+    unless cols gives them): only the members holding exactly one of a
+    and b move, so a and b are twins iff as many members hold a without b
+    as b without a, and each of the former, swapped, is a member.
     """
+    if cols is None:
+        cols = member_columns(fam.n, fam.members)
     present = set(fam.members)
-    reps: list[int] = []  # the least element bit of each class
+    reps: list[int] = []  # the least element of each class
     classes: list[KSet] = []
     for e in range(fam.n):
-        eb = 1 << e
-        for c, rb in enumerate(reps):
-            pair = rb | eb
-            # only members holding exactly one of the two move
-            if all(m ^ pair in present for m in fam.members if (m & pair) not in (0, pair)):
-                classes[c] |= eb
+        ce = cols[e]
+        for c, r in enumerate(reps):
+            only = ce & ~cols[r]
+            if only.bit_count() != (cols[r] & ~ce).bit_count():
+                continue
+            pair = 1 << r | 1 << e
+            while only:
+                b = only & -only
+                if fam.members[b.bit_length() - 1] ^ pair not in present:
+                    break
+                only ^= b
+            else:
+                classes[c] |= 1 << e
                 break
         else:
-            reps.append(eb)
-            classes.append(eb)
+            reps.append(e)
+            classes.append(1 << e)
     return tuple(classes)
 
 

@@ -3,8 +3,10 @@
 The largest intersecting subfamily of a host family is the maximum
 clique of the host's intersection graph; the search is exact branch and
 bound with greedy-coloring upper bounds, seeded with the best star.  The
-proof of the optimum branches once per member orbit at its root, with the
-orbits taken under the host's ground-set twins.  The lex-least witness is
+proof of the optimum branches once per member orbit in every frame whose
+symmetry group is non-trivial: the group fixes the host's ground-set
+twin classes and the members chosen on the frame's path, and its orbits
+are split from the member columns.  The lex-least witness is
 then rebuilt member by member; a step searches only when no known optimum
 (the best star, or a greedy completion) already contains it.
 """
@@ -35,38 +37,26 @@ def _best_star(cols) -> tuple[int, int | None]:
     return (star, degs.index(star) + 1) if star else (0, None)
 
 
-def member_orbits(host: Family) -> list[int]:
-    """For each member index, the index mask of its orbit under the
-    permutations of [n] that fix every twin class of the host setwise
-    (see :func:`famcore.twin_classes`); members of one orbit share one
-    int.  Two members share an orbit iff they meet every class in the
-    same number of elements.  Every such permutation is an automorphism
-    of the host, so each orbit is one of the intersection graph."""
-    classes = twin_classes(host)
-    masks: dict[tuple[int, ...], int] = {}
-    keys = []
-    for i, m in enumerate(host.members):
-        key = tuple((m & c).bit_count() for c in classes)
-        masks[key] = masks.get(key, 0) | 1 << i
-        keys.append(key)
-    return [masks[key] for key in keys]
-
-
 def max_intersecting_subfamily(
-    host: Family, member_cap: int = DEFAULT_MEMBER_CAP
+    host: Family, member_cap: int = DEFAULT_MEMBER_CAP, *, _cols=None
 ) -> tuple[int, Family]:
     """Exact maximum intersecting subfamily of host with a witness.
 
     The host's member columns (:func:`famcore.member_columns`) are built
-    once; the intersection graph and the best star come from them.
+    once (check_ekr_property passes the ones it built as _cols); the
+    intersection graph, the best star and the twin classes
+    (:func:`famcore.twin_classes`) come from them.
 
     The optimum omega is proved by one clique search that branches once
-    per member orbit at its root (:func:`member_orbits`); the whole vertex
-    set is a union of orbits, as that search requires.  The witness is
-    the lexicographically least optimum (smallest sorted member tuple).
-    It is built greedily: visiting vertices in ascending order, v joins
-    the chosen ones exactly when some omega-clique contains them all
-    and v.
+    per member orbit in every frame with a non-trivial group: the
+    permutations of [n] that fix each twin class and each member chosen
+    on the frame's path (see :func:`_kernels.max_clique_size`).  The
+    whole vertex set is a union of orbits, as that search requires.
+
+    The witness is the lexicographically least optimum (smallest sorted
+    member tuple).  It is built greedily: visiting vertices in ascending
+    order, v joins the chosen ones exactly when some omega-clique
+    contains them all and v.
 
     A certificate decides most steps without search: an omega-clique
     containing every chosen vertex, or nothing.  It starts as the best
@@ -75,15 +65,15 @@ def max_intersecting_subfamily(
     vertices, v, then their common neighbours in ascending order, each
     kept when adjacent to all kept so far) is a clique; if it has omega
     members it proves the step and becomes the certificate.  Only when
-    neither holds does a clique search on those common neighbours decide,
-    without orbits, since fixing a vertex breaks the symmetry.  An
-    acceptance by search clears the certificate, which lacks v.  A
-    rejection keeps it, since the chosen vertices are unchanged, and
-    drops v from the candidates: the chosen vertices only grow, so no
-    later omega-clique through them holds v.  Every accepted step is
-    proved by an omega-clique and every rejected one by a search, so the
-    witness is the one a search at every step gives.  It is checked as an
-    omega-clique of the graph before it is returned.
+    neither holds does a clique search on those common neighbours decide;
+    it is passed no symmetry.  An acceptance by search clears the
+    certificate, which lacks v.  A rejection keeps it, since the chosen
+    vertices are unchanged, and drops v from the candidates: the chosen
+    vertices only grow, so no later omega-clique through them holds v.
+    Every accepted step is proved by an omega-clique and every rejected
+    one by a search, so the witness is the one a search at every step
+    gives.  It is checked as an omega-clique of the graph before it is
+    returned.
 
     Hosts above member_cap are refused; split the host or raise the cap
     explicitly.
@@ -96,11 +86,13 @@ def max_intersecting_subfamily(
         )
     if nv == 0:
         return 0, host
-    cols = member_columns(host.n, host.members)
+    cols = member_columns(host.n, host.members) if _cols is None else _cols
     adj = intersection_adjacency(host.members, cols=cols)
     star, center = _best_star(cols)
     full = (1 << nv) - 1
-    omega = _kernels.max_clique_size(adj, nv, full, star, member_orbits(host))
+    omega = _kernels.max_clique_size(
+        adj, nv, full, star, (host.members, cols, twin_classes(host, cols=cols))
+    )
     cert = cols[center - 1] if omega == star else 0
     chosen = 0
     cand = full
@@ -161,8 +153,9 @@ def check_ekr_property(host: Family, member_cap: int = DEFAULT_MEMBER_CAP) -> Ek
     """Does the host have the EKR property (its largest intersecting
     subfamily is a star)?  On failure the witness is a non-trivial
     intersecting subfamily beating every star."""
-    size, witness = max_intersecting_subfamily(host, member_cap)
-    star, center = max_star_size(host)
+    cols = member_columns(host.n, host.members)
+    size, witness = max_intersecting_subfamily(host, member_cap, _cols=cols)
+    star, center = _best_star(cols)
     gap = size - star
     return EkrVerdict(
         holds=gap <= 0,

@@ -9,9 +9,8 @@ from conftest import brute_canonical, nx_max_clique_size, nx_maximal_cliques
 from setfam import _kernels
 from setfam._kernels import pure
 from setfam.enumeration import intersection_adjacency
-from setfam.famcore import Family, family
+from setfam.famcore import Family, all_ksets, family, member_columns, twin_classes
 from setfam.generators import ConstraintSpec, gen_constrained
-from setfam.search import member_orbits
 
 
 def random_graph(rng, nv, p):
@@ -106,17 +105,35 @@ def random_block_host(rng, n, k):
     return Family(n, k, tuple(sorted(relabel_masks(members, perm))))
 
 
+def orbit_input(host):
+    """The kernel's symmetry input for a host: (members, cols, classes)."""
+    cols = member_columns(host.n, host.members)
+    return host.members, cols, twin_classes(host, cols=cols)
+
+
+def count_orbits(members, atoms, cand):
+    """Count-vector oracle: the vertex masks of cand grouped by how many
+    elements each member has in each atom, as a set of the masks with two
+    or more vertices."""
+    groups = {}
+    for i, m in enumerate(members):
+        if cand >> i & 1:
+            key = tuple((m & a).bit_count() for a in atoms)
+            groups[key] = groups.get(key, 0) | 1 << i
+    return {g for g in groups.values() if g & (g - 1)}
+
+
 def check_orbit_path(host):
     """The orbit path's omega equals the plain kernel's and networkx's;
-    returns whether some orbit has two or more members."""
+    returns whether some root orbit has two or more members."""
     nv = len(host)
     adj = intersection_adjacency(host.members)
     full = (1 << nv) - 1
-    orbit = member_orbits(host)
+    sym = orbit_input(host)
     want = nx_max_clique_size(adj, nv)
-    assert pure.max_clique_size(adj, nv, full, 0, orbit) == want
+    assert pure.max_clique_size(adj, nv, full, 0, sym) == want
     assert pure.max_clique_size(adj, nv, full, 0) == want
-    return len(set(orbit)) < nv
+    return bool(count_orbits(host.members, sym[2], full))
 
 
 def test_max_clique_size_orbit_path_on_block_hosts():
@@ -152,17 +169,86 @@ def test_max_clique_size_orbit_path_fixtures():
         assert check_orbit_path(host)
         nv = len(host)
         adj = intersection_adjacency(host.members)
-        assert pure.max_clique_size(adj, nv, (1 << nv) - 1, 0, member_orbits(host)) == omega
+        assert pure.max_clique_size(adj, nv, (1 << nv) - 1, 0, orbit_input(host)) == omega
 
 
 def test_max_clique_size_orbit_root_only():
-    # two disjoint triangles, all six vertices one orbit: the root
-    # branches on vertex 0 alone, and its inner frame finds a triangle
-    adj = [0b110, 0b101, 0b011, 0b110000, 0b101000, 0b011000]
-    orbit = [0b111111] * 6
-    assert pure.max_clique_size(adj, 6, 0b111111, 0, orbit) == 3
-    assert pure.max_clique_size(adj, 6, 0b111111, 3, orbit) == 3
-    assert pure.max_clique_size(adj, 6, 0, 2, orbit) == 2
+    # two disjoint triangles {12,13,23} and {45,46,56}: the twin classes
+    # {1,2,3} and {4,5,6} make each triangle one root orbit, so the root
+    # branches on vertices 0 and 3 alone; below {1,2} the swap (1 2) still
+    # joins {1,3} and {2,3} into one orbit, and that frame finds a triangle
+    host = family(6, 2, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+    members, cols, classes = sym = orbit_input(host)
+    adj = intersection_adjacency(members)
+    assert classes == (0b000111, 0b111000)
+    root = pure._root_orbits(0b111111, sym)
+    assert sorted(root[1]) == [0b000111, 0b111000]
+    assert pure._child_orbits(root, sym, 0, 0b000110)[1] == [0b000110]
+    assert pure.max_clique_size(adj, 6, 0b111111, 0, sym) == 3
+    assert pure.max_clique_size(adj, 6, 0b111111, 3, sym) == 3
+    assert pure.max_clique_size(adj, 6, 0, 2, sym) == 2
+
+
+def test_max_clique_size_orbits_in_an_inner_frame():
+    # the k-sets of {2..n} meeting {2,3}, plus {1,2,3}: element 1 is a
+    # twin class of its own, so {1,2,3} is fixed at the root, while its
+    # neighbours fall into orbits of two or more members, and the frame
+    # below it branches on those
+    hosts = [
+        Family(n, 3, tuple(m for m in all_ksets(n, 3) if m == 0b111 or not m & 1 and m & 0b110))
+        for n in (7, 8)
+    ]
+    for host in hosts:
+        nv = len(host)
+        members, cols, classes = sym = orbit_input(host)
+        assert classes[0] == 0b1
+        adj = intersection_adjacency(members, cols=cols)
+        full = (1 << nv) - 1
+        root = pure._root_orbits(full, sym)
+        assert root is not None and set(root[1]) == count_orbits(members, classes, full)
+        inner = 0
+        for u in range(nv):
+            if any(o >> u & 1 for o in root[1]):
+                continue  # u is not fixed at the root
+            below = full & adj[u]
+            child = pure._child_orbits(root, sym, u, below)
+            atoms = [x for a in classes for x in (a & members[u], a & ~members[u]) if x]
+            assert (set(child[1]) if child else set()) == count_orbits(members, atoms, below)
+            inner += child is not None
+        assert inner >= 1
+        assert pure.max_clique_size(adj, nv, full, 0, sym) == nx_max_clique_size(adj, nv)
+
+
+def test_column_split_against_count_vectors():
+    # the bit-sliced split of a vertex set by the counts over a list of
+    # atoms, and the child refinement by a chosen member's atom halves,
+    # against grouping the members by their count vectors
+    rng = random.Random(12)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        host = random_block_host(rng, n, rng.randint(1, min(4, n)))
+        nv = len(host)
+        if nv < 2:
+            continue
+        members = host.members
+        cols = member_columns(host.n, members)
+        cand = rng.randrange(1, 1 << nv)
+        # a random partition of [n] into atoms
+        labels = [rng.randrange(3) for _ in range(host.n)]
+        atoms = [sum(1 << e for e in range(host.n) if labels[e] == j) for j in range(3)]
+        atoms = [a for a in atoms if a]
+        orbits = [cand] if cand & (cand - 1) else []
+        for a in atoms:
+            orbits = pure._split(orbits, pure._count_planes(cols, a))
+        assert len(orbits) == len(set(orbits))
+        assert set(orbits) == count_orbits(members, atoms, cand)
+        # refine by a random member's halves, from the parent's orbits
+        u = rng.randrange(nv)
+        child_cand = cand & rng.randrange(1 << nv)
+        sym = ([a for a in atoms if a & (a - 1)], orbits)
+        child = pure._child_orbits(sym, (members, cols, ()), u, child_cand)
+        halves = [x for a in atoms for x in (a & members[u], a & ~members[u]) if x]
+        assert (set(child[1]) if child else set()) == count_orbits(members, halves, child_cand)
 
 
 def test_canonical_min_against_permutation_sweep():

@@ -178,6 +178,14 @@ def test_complete_10_4_omega():
     assert len(witness) == 84 and is_intersecting(witness)
 
 
+def test_complete_9_4_omega():
+    # vertex-transitive, so no vertex order helps; the proof of omega
+    # branches once per orbit of the stabiliser of the chosen members
+    size, witness = max_intersecting_subfamily(gen_complete(9, 4))
+    assert size == comb(8, 3) == 56
+    assert witness == gen_full_star(9, 4, 1)
+
+
 def test_member_cap():
     host = gen_complete(7, 3)
     with pytest.raises(ValueError):
