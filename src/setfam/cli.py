@@ -127,10 +127,10 @@ def partition_spec(sizes, quotas) -> generators.ConstraintSpec:
 
 def suite_prop_k3(n: int) -> VerificationReport:
     """The k = 3 landscape: enumerate all maximal intersecting 3-uniform
-    families on [n] (n in {7, 8}), reduce to isomorphism classes, and
+    families on [n] (n in {7, 8, 9}), reduce to isomorphism classes, and
     check the class count and every size/degree bound class by class."""
-    if not 7 <= n <= 8:
-        raise ValueError(f"prop-k3 suite supports n in {{7, 8}}, got {n}")
+    if not 7 <= n <= 9:
+        raise ValueError(f"prop-k3 suite supports n in {{7, 8, 9}}, got {n}")
     t0 = time.perf_counter()
     classes = enumeration.iso_classes(enumeration.enumerate_maximal_intersecting(n, 3))
     star_bound = bounds.ekr_bound(n, 3)
@@ -683,7 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("--suite", required=True)
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument(
+        "--n", type=int, default=None, help="prop-k3 only: ground-set size 7, 8 or 9 (default 7)"
+    )
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

@@ -8,9 +8,12 @@ minimum relabeling over all permutations of [n] (exact for n <= 10).
 The one relabeling invariant is ``_kernels.relabel_profile``: its key
 buckets families here.  Above n = 10 there is no exact canonical form,
 and ``iso_classes`` refuses such families.
-Reducing to classes canonicalizes once per class: every later family of
-a class is placed by an explicit relabeling onto the class's canonical
-encode (see ``iso_classes``).
+Reducing to classes canonicalizes once per class.  Most families are
+placed by one dict lookup on their degree-order encode (the members
+relabeled with the elements sorted by degree): equal encodes come from
+relabelings of each other, so a family whose encode was seen joins that
+family's class.  Only a family with a new encode is placed by an
+explicit relabeling onto a class's canonical encode (see ``iso_classes``).
 """
 
 from __future__ import annotations
@@ -96,6 +99,29 @@ def canonical_members(fam: Family) -> tuple[int, ...]:
     return _kernels.canonical_min(fam.n, fam.members)
 
 
+def _degree_order_encode(n: int, members) -> tuple[int, ...]:
+    """The sorted member tuple after relabeling the elements of [n] in
+    order of (degree, index): the element of rank r gets label r + 1.
+    It is a relabeling of the family, so two families with equal encodes
+    are isomorphic; isomorphic families may still have different encodes
+    when degrees tie."""
+    cols = member_columns(n, members)
+    order = sorted(range(n), key=lambda e: cols[e].bit_count())
+    img = [0] * n
+    for r, e in enumerate(order):
+        img[e] = 1 << r
+    out = []
+    for v in members:
+        w = 0
+        while v:
+            b = v & -v
+            v ^= b
+            w |= img[b.bit_length() - 1]
+        out.append(w)
+    out.sort()
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class IsoClass:
     """One isomorphism class: canonical representative, how many labeled
@@ -114,10 +140,18 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
     """Group families by canonical form.
 
     Classes are reported by size descending, then by canonical encoding,
-    then by n and k.  Each family's relabel_profile is built once, and its
-    key, with the family's n and k, picks the family's bucket.  A bucket
-    keeps, for each class found in it so far, the class key (n, k and the
-    canonical encode) and that encode's profile (built once per class).
+    then by n and k.  Each family first gets its degree-order encode
+    (``_degree_order_encode``).  If p and q relabel families F and G onto
+    the same encode, q^-1 p carries F onto G, so a family whose (n, k,
+    encode) was seen before joins the class recorded for it, with no
+    profile and no search.  At (7,3) and (8,3) that places all but 75
+    families.  A family with a new encode takes the path below, and its
+    encode is then recorded with the class it joined.
+
+    Its relabel_profile is built once, and its key, with the family's n
+    and k, picks the family's bucket.  A bucket keeps, for each class
+    found in it so far, the class key (n, k and the canonical encode) and
+    that encode's profile (built once per class).
     A family that some permutation carries onto one of those encodes
     joins that class; only a family that relabels onto none of them is
     canonicalized, and it opens a new class in its bucket.  So
@@ -127,11 +161,17 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
     """
     counts: dict[tuple, int] = {}
     buckets: dict[tuple, list[tuple]] = {}
+    seen: dict[tuple, tuple] = {}  # (n, k, degree-order encode) -> class key
     for fam in families:
         if fam.n > EXACT_CANONICAL_MAX_N:
             raise ValueError(
                 f"iso_classes needs exact canonical mode (n <= {EXACT_CANONICAL_MAX_N})"
             )
+        quick = (fam.n, fam.k, _degree_order_encode(fam.n, fam.members))
+        key = seen.get(quick)
+        if key is not None:
+            counts[key] += 1
+            continue
         prof = _kernels.relabel_profile(fam.n, fam.members)
         known = buckets.setdefault((fam.n, fam.k, prof[3]), [])
         for key, target in known:
@@ -144,6 +184,7 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
             key = (fam.n, fam.k, enc)
             known.append((key, _kernels.relabel_profile(fam.n, enc)))
             counts[key] = 0
+        seen[quick] = key
         counts[key] += 1
     out = []
     for key, count in counts.items():

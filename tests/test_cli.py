@@ -169,6 +169,23 @@ def test_verify_prop_k3(capsys):
     assert "PASS prop-k3" in out
 
 
+def test_verify_prop_k3_n9(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "prop-k3", "--n", "9", "--json", "--no-timing")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["params"] == {"k": 3, "n": 9}
+    checks = {c["name"]: c for c in obj["checks"]}
+    assert len(checks) == 8 and all(c["status"] == "pass" for c in checks.values())
+    assert checks["labeled-total"]["actual"] == 72531
+    assert checks["min-degree-bound"]["actual"] == 3  # delta(HM_{9,3})
+    # n outside {7, 8, 9} is refused before any enumeration
+    for n in ("6", "10"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", "prop-k3", "--n", n)
+        assert code == 2 and out == "" and "7, 8, 9" in err
+        assert time.perf_counter() - t0 < 1
+
+
 def test_verify_report_determinism(capsys):
     for suite, extra in (("prop-k3", ("--n", "7")), ("theorems", ())):
         args = ("verify", "--suite", suite, *extra, "--json", "--no-timing")

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from conftest import brute_canonical, naive_maximal_intersecting
+from setfam import _kernels, enumeration
 from setfam._kernels import relabel_profile
 from setfam.enumeration import (
     UnsupportedRegimeError,
@@ -16,6 +17,7 @@ from setfam.enumeration import (
 from setfam.famcore import (
     Family,
     all_ksets,
+    degree_profile,
     is_intersecting,
     is_trivial,
     kset,
@@ -211,6 +213,95 @@ def test_iso_classes_invariant_under_global_relabeling():
 def test_iso_classes_needs_exact_mode():
     with pytest.raises(ValueError):
         iso_classes([gen_full_star(12, 3, 1)])
+
+
+def test_iso_classes_refuses_before_encoding(monkeypatch):
+    def never(n, members):
+        raise AssertionError("encode built for a refused family")
+
+    monkeypatch.setattr(enumeration, "_degree_order_encode", never)
+    with pytest.raises(ValueError, match="exact canonical mode"):
+        iso_classes([gen_full_star(12, 3, 1)])
+
+
+def per_family_classes(fams):
+    """Counter of (n, k, canonical encode) with canonical_members run on
+    every labeled family (once per distinct family: it is deterministic)."""
+    canon = {f: canonical_members(f) for f in set(fams)}
+    return Counter((f.n, f.k, canon[f]) for f in fams)
+
+
+def class_counts(classes):
+    return Counter(
+        {(c.canonical.n, c.canonical.k, c.canonical.members): c.labeled_count for c in classes}
+    )
+
+
+def triples(n, ts):
+    return Family(n, 3, tuple(sorted(kset(t) for t in ts)))
+
+
+# a 2-regular (9,3) family, and another of the same degrees in another class
+REG_9_3 = triples(9, ((1, 2, 3), (1, 5, 8), (2, 4, 7), (3, 6, 9), (4, 6, 7), (5, 8, 9)))
+REG_9_3_OTHER = triples(9, ((1, 2, 3), (1, 2, 9), (3, 6, 8), (4, 5, 9), (4, 6, 7), (5, 7, 8)))
+
+
+def seeded_relabelings(fam, count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        perm = list(range(fam.n))
+        rng.shuffle(perm)
+        out.append(relabel(fam, perm))
+    return out
+
+
+def test_iso_classes_exact_where_degrees_tie():
+    # every element has the same degree, so the degree-order encode of each
+    # labeled copy is the copy itself: only repeats of a copy are placed
+    # by the encode, and every new copy takes the relabeling path
+    fano = triples(7, ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)))
+    fams = [relabel(fano, p) for p in permutations(range(7))]
+    assert len(fams) == 5040 and len(set(fams)) == 30
+    want = per_family_classes(fams)
+    assert want == {(7, 3, canonical_members(fano)): 5040}
+    assert class_counts(iso_classes(fams)) == want
+
+    # the 2-regular (9,3) family: 3000 seeded relabelings, most of them new
+    assert set(degree_profile(REG_9_3).degrees) == {2}
+    fams = seeded_relabelings(REG_9_3, 3000, 13)
+    assert len(set(fams)) > 2500
+    want = per_family_classes(fams)
+    assert len(want) == 1
+    assert class_counts(iso_classes(fams)) == want
+
+
+def test_iso_classes_keeps_equal_degree_classes_apart():
+    # two classes whose elements all have degree 2: an encode that kept
+    # only degrees would merge them
+    assert set(degree_profile(REG_9_3_OTHER).degrees) == {2}
+    fams = seeded_relabelings(REG_9_3, 300, 14) + seeded_relabelings(REG_9_3_OTHER, 300, 15)
+    random.Random(16).shuffle(fams)
+    want = per_family_classes(fams)
+    assert len(want) == 2
+    assert class_counts(iso_classes(fams)) == want
+
+
+def test_iso_classes_effort_7_3(monkeypatch):
+    # the degree-order encode places most of the 6127 families by one dict
+    # lookup: relabel_profile runs once per new encode (75) and once per
+    # class (15), and canonical_min once per class
+    calls = Counter()
+    for name in ("find_relabeling", "relabel_profile", "canonical_min"):
+
+        def counted(*args, _f=getattr(_kernels, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    classes = iso_classes(enumerate_maximal_intersecting(7, 3))
+    assert len(classes) == 15 and sum(c.labeled_count for c in classes) == 6127
+    assert calls == {"find_relabeling": 61, "relabel_profile": 90, "canonical_min": 15}
 
 
 def test_class_report_order():
