@@ -259,6 +259,32 @@ def _check_matching(n, k, s) -> Check:
     )
 
 
+def _kernel_scan(fams) -> tuple[bool, int, int]:
+    """(K_1 is empty exactly for the non-trivial families, number of
+    families whose size-<=k kernel is not pairwise intersecting, max |K_3|)
+    over intersecting families.  A kernel is built once per degree-order
+    encode, exact because kernels commute with relabelling (K(pF) = pK(F)):
+    it runs on the encode, a relabelled copy of every family carrying it."""
+    facts: dict[tuple, tuple[bool, bool, int]] = {}  # encode -> (K_1 empty, intersecting, |K_3|)
+    k1_ok, bad, worst = True, 0, 0
+    for f in fams:
+        enc = enumeration._degree_order_encode(f.n, f.members)
+        fact = facts.get(enc)
+        if fact is None:
+            kern = covers.kernel(famcore.Family(f.n, f.k, enc))
+            cvs = kern.all_covers()
+            fact = facts[enc] = (
+                not kern.layers[1],
+                all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :]),
+                len(kern.layers[3]),
+            )
+        k1_empty, meets, k3 = fact
+        k1_ok &= k1_empty == (famcore.is_trivial(f) is None)
+        bad += not meets
+        worst = max(worst, k3)
+    return k1_ok, bad, worst
+
+
 def _grid_check(name, results) -> Check:
     bad = [r.params for r in results if r.validity and not r.holds]
     return Check(
@@ -284,17 +310,10 @@ def suite_theorems(jobs: int = 1) -> VerificationReport:
 
     @functools.cache
     def kernel_scan() -> tuple[bool, int, int]:
-        """Each (7,3) kernel once, kept only as (K1 empty iff non-trivial,
-        count of non-intersecting kernels, max |K_3|); a crash fails each caller."""
-        k1_ok, bad, worst = True, 0, 0
-        for f in fams73:
-            kern = covers.kernel(f)
-            k1_ok &= (not kern.layers[1]) == (famcore.is_trivial(f) is None)
-            cvs = kern.all_covers()
-            if not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :]):
-                bad += 1
-            worst = max(worst, len(kern.layers[3]))
-        return k1_ok, bad, worst
+        """The (7,3) kernels, once per degree-order encode, exact because
+        kernels commute with relabelling; shared by the three landscape
+        checks, and a crash fails each of them."""
+        return _kernel_scan(fams73)
 
     def kernel_k1() -> Check:
         return Check(

@@ -18,8 +18,10 @@ explicit relabeling onto a class's canonical encode (see ``iso_classes``).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import and_
 from typing import Iterable, Iterator
@@ -99,27 +101,43 @@ def canonical_members(fam: Family) -> tuple[int, ...]:
     return _kernels.canonical_min(fam.n, fam.members)
 
 
+_LANE = 16  # bits per member in the degree-order encode
+
+
+@cache
+def _lane_ones(m: int) -> int:
+    """A 1 at the low bit of each of m 16-bit lanes.  Cached per member
+    count; callers keep n <= 10, so at most C(10, 5) = 252 entries."""
+    return ((1 << (_LANE * m)) - 1) // ((1 << _LANE) - 1)
+
+
 def _degree_order_encode(n: int, members) -> tuple[int, ...]:
     """The sorted member tuple after relabeling the elements of [n] in
     order of (degree, index): the element of rank r gets label r + 1.
     It is a relabeling of the family, so two families with equal encodes
     are isomorphic; isomorphic families may still have different encodes
-    when degrees tie."""
-    cols = member_columns(n, members)
-    order = sorted(range(n), key=lambda e: cols[e].bit_count())
-    img = [0] * n
-    for r, e in enumerate(order):
-        img[e] = 1 << r
-    out = []
-    for v in members:
-        w = 0
-        while v:
-            b = v & -v
-            v ^= b
-            w |= img[b.bit_length() - 1]
-        out.append(w)
-    out.sort()
-    return tuple(out)
+    when degrees tie.
+
+    Bit-sliced: the members are packed into one int x, one member per
+    16-bit lane (through ``array('H')`` in native byte order, so lane
+    order may be reversed, which the final sort undoes).  With REP
+    holding a 1 at the low bit of every lane, (x >> e) & REP holds bit e
+    of every member, so its popcount is the degree of element e + 1, and
+    shifting it left by the rank of e moves that bit to its new label in
+    every lane at once.  The OR of the shifted slices is the relabeled
+    family, unpacked and sorted.  Lanes are 16 bits, so n > 16 is
+    refused."""
+    if n > _LANE:
+        raise ValueError(f"degree-order encode needs n <= {_LANE}, got n={n}")
+    m = len(members)
+    x = int.from_bytes(array("H", members), sys.byteorder)
+    rep = _lane_ones(m)
+    slices = [(x >> e) & rep for e in range(n)]
+    degs = [s.bit_count() for s in slices]
+    y = 0
+    for r, e in enumerate(sorted(range(n), key=degs.__getitem__)):
+        y |= slices[e] << r
+    return tuple(sorted(array("H", y.to_bytes(2 * m, sys.byteorder))))
 
 
 @dataclass(frozen=True)

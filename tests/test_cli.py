@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setfam import cli, covers
+from setfam import cli, covers, enumeration, famcore
 from setfam.famcore import parse_fam
 from setfam.generators import (
     ConstraintSpec,
@@ -214,8 +214,12 @@ KERNEL_CHECKS = {
 
 
 def test_theorems_kernel_once_per_family(monkeypatch):
-    # one kernel per (7,3) family, shared by the three landscape checks,
-    # plus one for HM(9,3)
+    # one kernel per degree-order encode of the (7,3) families, shared by
+    # the three landscape checks, plus one for HM(9,3)
+    encodes = {
+        enumeration._degree_order_encode(f.n, f.members)
+        for f in enumeration.enumerate_maximal_intersecting(7, 3)
+    }
     calls = []
     real = covers.kernel
 
@@ -226,7 +230,21 @@ def test_theorems_kernel_once_per_family(monkeypatch):
     monkeypatch.setattr(covers, "kernel", counted)
     report = cli.suite_theorems()
     assert report.passed
-    assert len(calls) == 6127 + 1
+    assert len(calls) == len(encodes) + 1 == 76
+
+
+def test_kernel_scan_matches_per_family_kernels():
+    # the memoised scan against a kernel built on every labelled family
+    fams = list(enumeration.enumerate_maximal_intersecting(7, 3))
+    k1_ok, bad, worst = True, 0, 0
+    for f in fams:
+        kern = covers.kernel(f)
+        k1_ok &= (not kern.layers[1]) == (famcore.is_trivial(f) is None)
+        cvs = kern.all_covers()
+        bad += not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :])
+        worst = max(worst, len(kern.layers[3]))
+    assert (k1_ok, bad, worst) == (True, 0, 10)
+    assert cli._kernel_scan(fams) == (k1_ok, bad, worst)
 
 
 THEOREMS_CHECKS = [

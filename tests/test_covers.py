@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_minimal_covers
 from setfam.covers import (
+    Kernel,
     cover_number,
     find_high_tau_link,
     is_cover,
@@ -87,6 +90,44 @@ def test_property_kernel_matches_powerset_oracle(data):
     assert sorted(kern.layers) == list(range(1, cap + 1))
     for i, layer in kern.layers.items():
         assert layer == tuple(c for c in want if c.bit_count() == i)
+
+
+def relabel_mask(m, perm):
+    return sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1)
+
+
+def random_intersecting(rng, n, k, size):
+    """Up to size k-sets on [n], drawn in random order, each kept if it
+    meets every one kept before it."""
+    pool = list(all_ksets(n, k))
+    rng.shuffle(pool)
+    kept = []
+    for m in pool:
+        if len(kept) == size:
+            break
+        if all(m & o for o in kept):
+            kept.append(m)
+    return Family(n, k, tuple(sorted(kept)))
+
+
+def test_kernel_commutes_with_relabelling():
+    # K(pF) = pK(F) at every cap: what lets the theorems suite build one
+    # kernel per degree-order encode instead of one per family
+    rng = random.Random(14)
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        k = rng.randint(1, n)
+        fam = random_intersecting(rng, n, k, rng.randint(1, 25))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = Family(n, k, tuple(sorted(relabel_mask(m, perm) for m in fam.members)))
+        for cap in range(1, n + 1):
+            kern = kernel(fam, cap)
+            want = Kernel(
+                cap,
+                {i: tuple(sorted(relabel_mask(c, perm) for c in layer)) for i, layer in kern.layers.items()},
+            )
+            assert kernel(moved, cap) == want
 
 
 def test_kernel_preconditions():

@@ -22,6 +22,7 @@ from setfam.famcore import (
     is_trivial,
     kset,
     maximal_closure,
+    member_columns,
 )
 from setfam.generators import HMSpec, gen_full_star, gen_hm
 
@@ -222,6 +223,49 @@ def test_iso_classes_refuses_before_encoding(monkeypatch):
     monkeypatch.setattr(enumeration, "_degree_order_encode", never)
     with pytest.raises(ValueError, match="exact canonical mode"):
         iso_classes([gen_full_star(12, 3, 1)])
+
+
+def loop_degree_order_encode(n, members):
+    """The degree-order encode as a loop over members and their elements:
+    the reference for the bit-sliced ``_degree_order_encode``."""
+    cols = member_columns(n, members)
+    order = sorted(range(n), key=lambda e: cols[e].bit_count())
+    img = [0] * n
+    for r, e in enumerate(order):
+        img[e] = 1 << r
+    out = []
+    for v in members:
+        w = 0
+        while v:
+            b = v & -v
+            v ^= b
+            w |= img[b.bit_length() - 1]
+        out.append(w)
+    out.sort()
+    return tuple(out)
+
+
+def test_degree_order_encode_against_loop():
+    rng = random.Random(1402)
+    cases = []
+    for n in range(2, 11):
+        cases.append((n, ()))
+        for k in range(1, n + 1):
+            pool = all_ksets(n, k)
+            for _ in range(6):
+                cases.append((n, tuple(sorted(rng.sample(pool, rng.randint(1, len(pool)))))))
+    # more than 200 members, and the full 16-bit lane
+    for n, k in ((10, 4), (10, 5), (10, 6), (12, 6), (16, 3), (16, 15)):
+        pool = all_ksets(n, k)
+        cases.append((n, tuple(sorted(rng.sample(pool, min(len(pool), 201 + rng.randrange(60)))))))
+    assert sum(len(ms) > 200 for _, ms in cases) >= 5
+    for n, ms in cases:
+        assert enumeration._degree_order_encode(n, ms) == loop_degree_order_encode(n, ms)
+
+
+def test_degree_order_encode_refuses_wide_ground_sets():
+    with pytest.raises(ValueError, match="n <= 16"):
+        enumeration._degree_order_encode(17, gen_full_star(17, 2, 1).members)
 
 
 def per_family_classes(fams):
