@@ -109,9 +109,12 @@ def hk_gap_constant(n: int, k: int) -> int:
 
 def triple_transversal_bound(m: int, k: int, ell: int) -> int:
     """Size bound for intersecting k-uniform families on [m] whose
-    members all meet three disjoint ell-sets: ell^2 * C(m-3, k-3)."""
+    members all meet three disjoint ell-sets: ell^2 * C(m-3, k-3).
+    Three disjoint ell-sets in [m] need ell >= 1 and m >= 3*ell."""
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
+    if ell < 1 or m < 3 * ell:
+        raise ValueError(f"need 1 <= ell and m >= 3*ell, got m={m}, ell={ell}")
     return ell * ell * binom(m - 3, k - 3)
 
 
@@ -123,8 +126,7 @@ def triple_transversal_ledger(m: int, k: int, ell: int) -> dict:
     sum collapses to ell^2 * C(m-3, k-3) by the Vandermonde identity.
     Raises if the collapse fails.
     """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got {k}")
+    total = triple_transversal_bound(m, k, ell)  # validates m, k and ell
     entries: dict[int, int] = {}
     for r in range(3, k + 1):
         if r == 3:
@@ -133,7 +135,6 @@ def triple_transversal_ledger(m: int, k: int, ell: int) -> dict:
             entries[r] = 3 * (ell - 1) * ell * ell * binom(m - 3 * ell, k - 4)
         else:
             entries[r] = ell * ell * binom(3 * ell - 3, r - 3) * binom(m - 3 * ell, k - r)
-    total = triple_transversal_bound(m, k, ell)
     if sum(entries.values()) != total:
         raise AssertionError(
             f"ledger sum {sum(entries.values())} != total {total} at (m={m}, k={k}, ell={ell})"

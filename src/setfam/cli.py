@@ -262,26 +262,18 @@ def _check_matching(n, k, s) -> Check:
 def _kernel_scan(fams) -> tuple[bool, int, int]:
     """(K_1 is empty exactly for the non-trivial families, number of
     families whose size-<=k kernel is not pairwise intersecting, max |K_3|)
-    over intersecting families.  A kernel is built once per degree-order
-    encode, exact because kernels commute with relabelling (K(pF) = pK(F)):
-    it runs on the encode, a relabelled copy of every family carrying it."""
-    facts: dict[tuple, tuple[bool, bool, int]] = {}  # encode -> (K_1 empty, intersecting, |K_3|)
+    over intersecting families.  One kernel and one triviality test per
+    degree-order encode (``enumeration.encode_counts``), a relabelled copy
+    of every family it counts: all four facts are relabelling invariants
+    (K(pF) = pK(F)), so a violation counts once per family."""
     k1_ok, bad, worst = True, 0, 0
-    for f in fams:
-        enc = enumeration._degree_order_encode(f.n, f.members)
-        fact = facts.get(enc)
-        if fact is None:
-            kern = covers.kernel(famcore.Family(f.n, f.k, enc))
-            cvs = kern.all_covers()
-            fact = facts[enc] = (
-                not kern.layers[1],
-                all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :]),
-                len(kern.layers[3]),
-            )
-        k1_empty, meets, k3 = fact
-        k1_ok &= k1_empty == (famcore.is_trivial(f) is None)
-        bad += not meets
-        worst = max(worst, k3)
+    for (n, k, enc), count in enumeration.encode_counts(fams).items():
+        fam = famcore.Family(n, k, enc)
+        kern = covers.kernel(fam)
+        cvs = kern.all_covers()
+        k1_ok &= (not kern.layers[1]) == (famcore.is_trivial(fam) is None)
+        bad += count * (not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :]))
+        worst = max(worst, len(kern.layers[3]))
     return k1_ok, bad, worst
 
 
@@ -377,9 +369,9 @@ def suite_theorems(jobs: int = 1) -> VerificationReport:
         ("kernel-layer3-bound-7-3", kernel_layer_bound),
         ("kernel-hm-9-3", kernel_hm93),
     ]
-    for a, grid in AUDIT_GRIDS.items():
+    for a in AUDIT_GRIDS:
         name = f"audit-{a}-grid"
-        tasks.append((name, lambda name=name, grid=grid: _grid_check(name, grid({}))))
+        tasks.append((name, lambda name=name, a=a: _grid_check(name, _audit_grid(a))))
     checks = _run_tasks(tasks)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport("theorems", {}, checks, elapsed)
@@ -485,6 +477,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.classes and args.n > enumeration.EXACT_CANONICAL_MAX_N:  # before a sweep of minutes
+        raise ValueError(f"--classes needs n <= {enumeration.EXACT_CANONICAL_MAX_N}, got {args.n}")
     fams = list(enumeration.enumerate_maximal_intersecting(args.n, args.k))
     obj = {"n": args.n, "k": args.k, "labeled_total": len(fams)}
     if args.classes:
@@ -552,30 +546,34 @@ BOUND_CALCS = {
     "triple-transversal-ledger": (lambda a: _ledger_json(a.m, a.k, a.l), ("m", "k", "l")),
 }
 
+#: The --grid keys each audit reads, in the order ``bounds.<audit>_grid``
+#: takes them, with their defaults.  A key with a tuple default takes a
+#: list ("c=4|30"), one with an int default a bound ("k<=6").
 AUDIT_GRIDS = {
-    "telescoping": lambda g: bounds.telescoping_grid(g.get("n", 60), g.get("k", 10)),
-    "vandermonde": lambda g: bounds.vandermonde_grid(g.get("m", 60), g.get("k", 10), g.get("l", 6)),
-    "tail-ratio": lambda g: bounds.tail_ratio_grid(tuple(g.get("c", (4, 30))), g.get("k", 6)),
-    "degree-size-chain": lambda g: bounds.degree_size_chain_grid(tuple(g.get("c", (4, 30))), g.get("k", 6)),
-    "inclusion-exclusion": lambda g: bounds.inclusion_exclusion_grid(g.get("n", 13), g.get("k", 4)),
+    "telescoping": {"n": 60, "k": 10},
+    "vandermonde": {"m": 60, "k": 10, "l": 6},
+    "tail-ratio": {"c": (4, 30), "k": 6},
+    "degree-size-chain": {"c": (4, 30), "k": 6},
+    "inclusion-exclusion": {"n": 13, "k": 4},
 }
 
 
-def _parse_grid(text: str | None) -> dict:
-    out: dict = {}
-    if not text:
-        return out
-    for token in text.split(","):
-        token = token.strip()
-        if "<=" in token:
-            name, _, val = token.partition("<=")
-            out[name.strip()] = int(val)
-        elif "=" in token:
-            name, _, val = token.partition("=")
-            out[name.strip()] = tuple(int(v) for v in val.split("|"))
-        else:
-            raise ValueError(f"bad grid token {token!r}")
-    return out
+def _audit_grid(name: str, text: str | None = None) -> list:
+    """The named audit over its default grid, with the comma-separated
+    --grid tokens applied.  A key the audit does not read, or a token of
+    the other form, is refused with the accepted keys."""
+    grid = dict(AUDIT_GRIDS[name])
+    for token in text.split(",") if text else ():
+        key, op, val = token.partition("<=")
+        if not op:
+            key, op, val = token.partition("=")
+        key = key.strip()
+        if not op or key not in grid or (op == "=") != isinstance(grid[key], tuple):
+            forms = [f"{k}=N|N" if isinstance(v, tuple) else f"{k}<=N" for k, v in grid.items()]
+            raise ValueError(f"bad grid token {token.strip()!r}; {name!r} accepts {', '.join(forms)}")
+        grid[key] = tuple(int(v) for v in val.split("|")) if op == "=" else int(val)
+    # looked up at call time, so a wrapper installed on the module sees it
+    return getattr(bounds, name.replace("-", "_") + "_grid")(*grid.values())
 
 
 def cmd_bounds(args) -> int:
@@ -591,7 +589,7 @@ def cmd_bounds(args) -> int:
     # audit
     if args.name not in AUDIT_GRIDS:
         raise ValueError(f"unknown audit {args.name!r}; options: {sorted(AUDIT_GRIDS)}")
-    results = AUDIT_GRIDS[args.name](_parse_grid(args.grid))
+    results = _audit_grid(args.name, args.grid)
     param_names = sorted({k for r in results for k in r.params})
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")

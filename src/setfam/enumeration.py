@@ -8,12 +8,8 @@ minimum relabeling over all permutations of [n] (exact for n <= 10).
 The one relabeling invariant is ``_kernels.relabel_profile``: its key
 buckets families here.  Above n = 10 there is no exact canonical form,
 and ``iso_classes`` refuses such families.
-Reducing to classes canonicalizes once per class.  Most families are
-placed by one dict lookup on their degree-order encode (the members
-relabeled with the elements sorted by degree): equal encodes come from
-relabelings of each other, so a family whose encode was seen joins that
-family's class.  Only a family with a new encode is placed by an
-explicit relabeling onto a class's canonical encode (see ``iso_classes``).
+Reducing to classes canonicalizes once per class, and works once per
+degree-order encode (``encode_counts``), not once per family.
 """
 
 from __future__ import annotations
@@ -140,6 +136,20 @@ def _degree_order_encode(n: int, members) -> tuple[int, ...]:
     return tuple(sorted(array("H", y.to_bytes(2 * m, sys.byteorder))))
 
 
+def encode_counts(families: Iterable[Family]) -> dict[tuple, int]:
+    """How many families carry each (n, k, degree-order encode), keys in
+    first-seen order.  The encode is a relabeled copy of each family it
+    counts, so a relabeling invariant computed on it holds for all of
+    them.  A family with n > EXACT_CANONICAL_MAX_N is refused unencoded."""
+    counts: dict[tuple, int] = {}
+    for fam in families:
+        if fam.n > EXACT_CANONICAL_MAX_N:
+            raise ValueError(f"exact canonical mode needs n <= {EXACT_CANONICAL_MAX_N}, got {fam.n}")
+        key = (fam.n, fam.k, _degree_order_encode(fam.n, fam.members))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 @dataclass(frozen=True)
 class IsoClass:
     """One isomorphism class: canonical representative, how many labeled
@@ -158,52 +168,36 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
     """Group families by canonical form.
 
     Classes are reported by size descending, then by canonical encoding,
-    then by n and k.  Each family first gets its degree-order encode
-    (``_degree_order_encode``).  If p and q relabel families F and G onto
-    the same encode, q^-1 p carries F onto G, so a family whose (n, k,
-    encode) was seen before joins the class recorded for it, with no
-    profile and no search.  At (7,3) and (8,3) that places all but 75
-    families.  A family with a new encode takes the path below, and its
-    encode is then recorded with the class it joined.
+    then by n and k.  Each encode of ``encode_counts`` is placed once,
+    with its count: at (7,3) and (8,3), 75 encodes stand for thousands
+    of families.
 
-    Its relabel_profile is built once, and its key, with the family's n
-    and k, picks the family's bucket.  A bucket keeps, for each class
-    found in it so far, the class key (n, k and the canonical encode) and
-    that encode's profile (built once per class).
-    A family that some permutation carries onto one of those encodes
-    joins that class; only a family that relabels onto none of them is
-    canonicalized, and it opens a new class in its bucket.  So
-    canonicalization runs once per class, every class is still keyed by
-    its exact minimum encode on its own n and k, and no assumption is
-    made about which labeled copies the input holds.
+    An encode's relabel_profile is built once, and its key, with n and k,
+    picks the encode's bucket.  A bucket keeps, for each class found in
+    it so far, the class key (n, k and the canonical encode) and the
+    profile of the encode that opened the class, a relabeling target for
+    the whole class.  An encode that some permutation carries onto one of
+    those targets joins that class; only an encode that relabels onto
+    none of them is canonicalized, and it opens a new class in its
+    bucket.  So canonicalization runs once per class, every class is
+    still keyed by its exact minimum encode on its own n and k, and no
+    assumption is made about which labeled copies the input holds.
     """
     counts: dict[tuple, int] = {}
     buckets: dict[tuple, list[tuple]] = {}
-    seen: dict[tuple, tuple] = {}  # (n, k, degree-order encode) -> class key
-    for fam in families:
-        if fam.n > EXACT_CANONICAL_MAX_N:
-            raise ValueError(
-                f"iso_classes needs exact canonical mode (n <= {EXACT_CANONICAL_MAX_N})"
-            )
-        quick = (fam.n, fam.k, _degree_order_encode(fam.n, fam.members))
-        key = seen.get(quick)
-        if key is not None:
-            counts[key] += 1
-            continue
-        prof = _kernels.relabel_profile(fam.n, fam.members)
-        known = buckets.setdefault((fam.n, fam.k, prof[3]), [])
+    for (n, k, enc), count in encode_counts(families).items():
+        prof = _kernels.relabel_profile(n, enc)
+        known = buckets.setdefault((n, k, prof[3]), [])
         for key, target in known:
-            if _kernels.find_relabeling(fam.n, prof, target) is not None:
+            if _kernels.find_relabeling(n, prof, target) is not None:
                 break
         else:
             # the bucket key is a relabeling invariant, so this class can
             # live only in this bucket: its key is new
-            enc = canonical_members(fam)
-            key = (fam.n, fam.k, enc)
-            known.append((key, _kernels.relabel_profile(fam.n, enc)))
+            key = (n, k, canonical_members(Family(n, k, enc)))
+            known.append((key, prof))
             counts[key] = 0
-        seen[quick] = key
-        counts[key] += 1
+        counts[key] += count
     out = []
     for key, count in counts.items():
         rep = Family(*key)

@@ -157,6 +157,18 @@ def test_triple_transversal_ledger():
     assert triple_transversal_bound(12, 3, 4) == 16
 
 
+def test_triple_transversal_refuses_impossible_blocks(capsys):
+    # three disjoint ell-blocks need ell >= 1 and m >= 3*ell
+    for m, ell in ((5, 4), (11, 4), (9, 0), (9, -1)):
+        for fn in (triple_transversal_bound, triple_transversal_ledger):
+            with pytest.raises(ValueError, match="m >= 3\\*ell"):
+                fn(m, 3, ell)
+        for name in ("triple-transversal", "triple-transversal-ledger"):
+            argv = ["bounds", "calc", "--name", name, "--m", str(m), "--k", "3", "--l", str(ell)]
+            assert cli.run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_audit_vandermonde():
     r = audit_vandermonde(12, 5, 3)
     assert r.holds and r.lhs == 36

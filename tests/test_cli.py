@@ -94,6 +94,17 @@ def test_bounds_audit_csv(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "name, grid",
+    [("telescoping", "n=4|30"), ("tail-ratio", "c<=4"), ("telescoping", "q<=5"), ("vandermonde", "l")],
+)
+def test_bounds_audit_refuses_unread_keys_and_wrong_forms(capsys, name, grid):
+    code, out, err = run(capsys, "bounds", "audit", "--name", name, "--grid", grid)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad grid token")
+    assert ("'tail-ratio' accepts c=N|N, k<=N" if name == "tail-ratio" else "k<=N") in err
+
+
 def test_kernel_command(capsys, tmp_path):
     path = tmp_path / "hm.fam"
     run(capsys, "gen", "hm", "--n", "9", "--k", "3", "-o", str(path))
@@ -143,6 +154,14 @@ def test_enumerate_refuses_out_of_range_before_the_sweep(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+
+def test_enumerate_classes_refuses_past_exact_mode_before_the_sweep(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--n", "11", "--k", "4", "--classes")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "n <= 10" in err
 
 
 def test_search_commands(capsys, tmp_path):
@@ -245,6 +264,23 @@ def test_kernel_scan_matches_per_family_kernels():
         worst = max(worst, len(kern.layers[3]))
     assert (k1_ok, bad, worst) == (True, 0, 10)
     assert cli._kernel_scan(fams) == (k1_ok, bad, worst)
+
+
+def test_kernel_scan_counts_violations_per_family():
+    # a lone 3-set is intersecting, but its covers {a}, {b}, {c} are pairwise
+    # disjoint: its three labelled copies share one encode and count three times
+    fams = [famcore.family(7, 3, [t]) for t in ((1, 2, 3), (4, 5, 6), (2, 5, 7))]
+    fams.append(famcore.family(7, 3, [(1, 2, 3), (1, 4, 5)]))
+    assert len({enumeration._degree_order_encode(7, f.members) for f in fams}) == 2
+    assert cli._kernel_scan(fams) == (True, 4, 0)
+
+
+def test_kernel_scan_compares_k1_with_triviality(monkeypatch):
+    # both families are stars, so K_1 is non-empty; a triviality test that
+    # calls them non-trivial must make the K_1 fact fail
+    fams = [famcore.family(7, 3, [(1, 2, 3)]), famcore.family(7, 3, [(1, 2, 3), (1, 4, 5)])]
+    monkeypatch.setattr(famcore, "is_trivial", lambda fam: None)
+    assert cli._kernel_scan(fams)[0] is False
 
 
 THEOREMS_CHECKS = [

@@ -268,6 +268,24 @@ def test_degree_order_encode_refuses_wide_ground_sets():
         enumeration._degree_order_encode(17, gen_full_star(17, 2, 1).members)
 
 
+def test_encode_counts_against_per_family_counter():
+    fams73 = list(enumerate_maximal_intersecting(7, 3))
+    random.Random(1501).shuffle(fams73)
+    mixed = fams73[:400] + list(enumerate_maximal_intersecting(8, 3))[:400]
+    mixed += list(enumerate_maximal_intersecting(6, 2)) + fams73[400:800]
+    random.Random(1502).shuffle(mixed)
+    for fams in (fams73, mixed):
+        want = Counter(
+            (f.n, f.k, enumeration._degree_order_encode(f.n, f.members)) for f in fams
+        )
+        got = enumeration.encode_counts(fams)
+        assert got == want and list(got) == list(want)  # first-seen order
+        assert sum(got.values()) == len(fams)
+        assert enumeration.encode_counts(f for f in fams) == got
+    assert len(enumeration.encode_counts(fams73)) == 75
+    assert {n for n, _, _ in enumeration.encode_counts(mixed)} == {6, 7, 8}
+
+
 def per_family_classes(fams):
     """Counter of (n, k, canonical encode) with canonical_members run on
     every labeled family (once per distinct family: it is deterministic)."""
@@ -332,9 +350,9 @@ def test_iso_classes_keeps_equal_degree_classes_apart():
 
 
 def test_iso_classes_effort_7_3(monkeypatch):
-    # the degree-order encode places most of the 6127 families by one dict
-    # lookup: relabel_profile runs once per new encode (75) and once per
-    # class (15), and canonical_min once per class
+    # the 6127 families are counted by degree-order encode first:
+    # relabel_profile runs once per encode (75), a class's first encode
+    # is its relabeling target, and canonical_min runs once per class
     calls = Counter()
     for name in ("find_relabeling", "relabel_profile", "canonical_min"):
 
@@ -345,7 +363,7 @@ def test_iso_classes_effort_7_3(monkeypatch):
         monkeypatch.setattr(_kernels, name, counted)
     classes = iso_classes(enumerate_maximal_intersecting(7, 3))
     assert len(classes) == 15 and sum(c.labeled_count for c in classes) == 6127
-    assert calls == {"find_relabeling": 61, "relabel_profile": 90, "canonical_min": 15}
+    assert calls == {"find_relabeling": 61, "relabel_profile": 75, "canonical_min": 15}
 
 
 def test_class_report_order():
