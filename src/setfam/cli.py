@@ -29,7 +29,6 @@ class Check:
     status: str  # pass | fail | skipped
     expected: object = None
     actual: object = None
-    witness: object = None
 
 
 @dataclass
@@ -54,7 +53,6 @@ class VerificationReport:
                     "status": c.status,
                     "expected": _plain(c.expected),
                     "actual": _plain(c.actual),
-                    **({"witness": _plain(c.witness)} if c.witness is not None else {}),
                 }
                 for c in self.checks
             ],
@@ -94,15 +92,34 @@ def _plain(v):
     return v
 
 
-def _run_tasks(tasks) -> list[Check]:
-    """Run the (name, fn) checks in order; a crashed check is a failed check."""
+def _run_tasks(rows) -> list[Check]:
+    """Run the (name, fn) rows in order.  fn returns (ok, expected,
+    actual), ok None for a skipped check; a check that raises fails, with
+    ``error: <Type>: <msg>`` as its actual value, and the rest still run."""
     checks = []
-    for name, fn in tasks:
+    for name, fn in rows:
         try:
-            checks.append(fn())
+            ok, expected, actual = fn()
         except Exception as e:
-            checks.append(Check(name, "fail", None, f"error: {type(e).__name__}: {e}"))
+            ok, expected, actual = False, None, f"error: {type(e).__name__}: {e}"
+        status = "skipped" if ok is None else "pass" if ok else "fail"
+        checks.append(Check(name, status, expected, actual))
     return checks
+
+
+def _equals(expected, actual) -> tuple:
+    return expected == actual, expected, actual
+
+
+def _named(prefix: str, fn, params) -> list:
+    """One row per parameter tuple p, running fn(*p), named by the prefix
+    and p joined by '-', a tuple parameter joined by 'x'
+    (``direct-product-ratio-4x4-1x2``)."""
+    rows = []
+    for p in params:
+        parts = ("x".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in p)
+        rows.append(("-".join([prefix, *parts]), functools.partial(fn, *p)))
+    return rows
 
 
 # --- suites -----------------------------------------------------------------
@@ -139,98 +156,91 @@ def suite_prop_k3(n: int) -> VerificationReport:
     nontrivial = [c for c in classes if not c.trivial]
     top = [c for c in classes if c.size == star_bound]
     deg_star = [c for c in classes if c.delta == n - 2]
-    labeled_total = sum(c.labeled_count for c in classes)
 
-    checks = [
-        Check("class-count", "pass" if len(classes) == 15 else "fail", 15, len(classes)),
-        Check(
+    rows = [
+        ("class-count", lambda: _equals(15, len(classes))),
+        (
             "ekr-size-bound",
-            "pass" if all(c.size <= star_bound for c in classes) else "fail",
-            f"all class sizes <= {star_bound}",
-            max(c.size for c in classes),
+            lambda: (
+                all(c.size <= star_bound for c in classes),
+                f"all class sizes <= {star_bound}",
+                max(c.size for c in classes),
+            ),
         ),
-        Check(
+        (
             "unique-star-class",
-            "pass" if len(top) == 1 and top[0].trivial else "fail",
-            f"exactly one class of size {star_bound}, trivial",
-            [(c.size, c.trivial) for c in top],
+            lambda: (
+                len(top) == 1 and top[0].trivial,
+                f"exactly one class of size {star_bound}, trivial",
+                [(c.size, c.trivial) for c in top],
+            ),
         ),
-        Check(
+        (
             "hm-size-bound",
-            "pass" if all(c.size <= hm_b for c in nontrivial) else "fail",
-            f"non-trivial sizes <= {hm_b}",
-            max((c.size for c in nontrivial), default=0),
+            lambda: (
+                all(c.size <= hm_b for c in nontrivial),
+                f"non-trivial sizes <= {hm_b}",
+                max((c.size for c in nontrivial), default=0),
+            ),
         ),
-        Check(
+        (
             "hm-class-present",
-            "pass"
-            if any(c.size == hm_b and c.delta == hm_delta for c in nontrivial)
-            else "fail",
-            f"a non-trivial class of size {hm_b} with delta {hm_delta}",
-            sorted({(c.size, c.delta) for c in nontrivial}, reverse=True)[:3],
+            lambda: (
+                any(c.size == hm_b and c.delta == hm_delta for c in nontrivial),
+                f"a non-trivial class of size {hm_b} with delta {hm_delta}",
+                sorted({(c.size, c.delta) for c in nontrivial}, reverse=True)[:3],
+            ),
         ),
-        Check(
+        (
             "min-degree-bound",
-            "pass" if all(c.delta <= hm_delta for c in nontrivial) else "fail",
-            f"delta <= {hm_delta} on non-trivial classes",
-            max((c.delta for c in nontrivial), default=0),
+            lambda: (
+                all(c.delta <= hm_delta for c in nontrivial),
+                f"delta <= {hm_delta} on non-trivial classes",
+                max((c.delta for c in nontrivial), default=0),
+            ),
         ),
-        Check(
+        (
             "degree-ekr",
-            "pass"
-            if all(c.delta <= n - 2 for c in classes)
-            and len(deg_star) == 1
-            and deg_star[0].trivial
-            else "fail",
-            f"delta <= {n - 2} everywhere, equality only at the full star",
-            [(c.delta, c.trivial) for c in deg_star],
+            lambda: (
+                all(c.delta <= n - 2 for c in classes)
+                and len(deg_star) == 1
+                and deg_star[0].trivial,
+                f"delta <= {n - 2} everywhere, equality only at the full star",
+                [(c.delta, c.trivial) for c in deg_star],
+            ),
         ),
-        Check("labeled-total", "pass", "recorded", labeled_total),
+        ("labeled-total", lambda: (True, "recorded", sum(c.labeled_count for c in classes))),
     ]
+    checks = _run_tasks(rows)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport("prop-k3", {"n": n, "k": 3}, checks, elapsed)
 
 
-def _check_triple_transversal(m, k, ell, expect_max) -> Check:
+def _triple_transversal(m, k, ell, expect_max) -> tuple:
     res = search.triple_transversal_search(search.make_triple_blocks(m, ell), k)
-    ok = res.max_size == expect_max and res.ok
-    return Check(
-        f"triple-transversal-{m}-{k}-{ell}",
-        "pass" if ok else "fail",
+    return (
+        res.max_size == expect_max and res.ok,
         f"max {expect_max} <= bound {res.bound}",
         {"max": res.max_size, "bound": res.bound, "valid": res.valid},
     )
 
 
-def _check_triple_transversal_degenerate() -> Check:
+def _triple_transversal_degenerate() -> tuple:
     got = search.triple_transversal_search(search.make_triple_blocks(9, 1), 3).max_size
-    return Check(
-        "triple-transversal-degenerate",
-        "pass" if got <= 1 else "fail",
-        "max <= 1 at ell = 1",
-        got,
-    )
+    return got <= 1, "max <= 1 at ell = 1", got
 
 
-def _check_ratio(sizes, quotas) -> Check:
-    name = "direct-product-ratio-" + "x".join(map(str, sizes)) + "-" + "x".join(map(str, quotas))
-    spec = partition_spec(sizes, quotas)
-    k = sum(quotas)
-    host = generators.gen_constrained(spec, k)
+def _ratio(sizes, quotas) -> tuple:
+    host = generators.gen_constrained(partition_spec(sizes, quotas), sum(quotas))
     if len(host) > search.DEFAULT_MEMBER_CAP:
-        return Check(name, "skipped", None, f"host size {len(host)} above cap")
+        return None, None, f"host size {len(host)} above cap"
     size, _ = search.max_intersecting_subfamily(host)
     bound = max(Fraction(q, s) for s, q in zip(sizes, quotas))
     ratio = Fraction(size, len(host))
-    return Check(
-        name,
-        "pass" if ratio <= bound else "fail",
-        f"ratio <= {bound}",
-        f"{size}/{len(host)} = {ratio}",
-    )
+    return ratio <= bound, f"ratio <= {bound}", f"{size}/{len(host)} = {ratio}"
 
 
-def _check_frankl_wilson(n, k, t) -> Check:
+def _frankl_wilson(n, k, t) -> tuple:
     value, valid = bounds.frankl_wilson_bound(n, k, t)
     ms = generators.gen_complete(n, k).members
     nv = len(ms)
@@ -238,35 +248,29 @@ def _check_frankl_wilson(n, k, t) -> Check:
     # {F : [t] subset F} is always a t-intersecting family of size C(n-t, k-t)
     seed = bounds.binom(n - t, k - t)
     got = _kernels.max_clique_size(adj, nv, (1 << nv) - 1, seed)
-    return Check(
-        f"frankl-wilson-{n}-{k}-{t}",
-        "pass" if (got == value and valid) else "fail",
-        f"max t-intersecting size == {value} (valid={valid})",
-        got,
-    )
+    return got == value and valid, f"max t-intersecting size == {value} (valid={valid})", got
 
 
-def _check_matching(n, k, s) -> Check:
+def _matching(n, k, s) -> tuple:
     fam = generators.gen_meets_front(n, k, s)
     threshold, valid = bounds.matching_threshold(n, k, s)
     nu = covers.matching_number(fam)
-    ok = len(fam) == threshold and nu == s
-    return Check(
-        f"matching-tightness-{n}-{k}-{s}",
-        "pass" if ok else "fail",
+    return (
+        len(fam) == threshold and nu == s,
         f"size {threshold}, matching number {s} (valid={valid})",
         {"size": len(fam), "nu": nu},
     )
 
 
-def _kernel_scan(fams) -> tuple[bool, int, int]:
+def _kernel_scan(fams) -> tuple[bool, int, int, int]:
     """(K_1 is empty exactly for the non-trivial families, number of
-    families whose size-<=k kernel is not pairwise intersecting, max |K_3|)
-    over intersecting families.  One kernel and one triviality test per
-    degree-order encode (``enumeration.encode_counts``), a relabelled copy
-    of every family it counts: all four facts are relabelling invariants
-    (K(pF) = pK(F)), so a violation counts once per family."""
-    k1_ok, bad, worst = True, 0, 0
+    families whose size-<=k kernel is not pairwise intersecting, max |K_3|,
+    number of families) over intersecting families, any iterable of them.
+    One kernel and one triviality test per degree-order encode
+    (``enumeration.encode_counts``), a relabelled copy of every family it
+    counts: all four facts are relabelling invariants (K(pF) = pK(F)), so
+    a violation counts once per family."""
+    k1_ok, bad, worst, total = True, 0, 0, 0
     for (n, k, enc), count in enumeration.encode_counts(fams).items():
         fam = famcore.Family(n, k, enc)
         kern = covers.kernel(fam)
@@ -274,17 +278,26 @@ def _kernel_scan(fams) -> tuple[bool, int, int]:
         k1_ok &= (not kern.layers[1]) == (famcore.is_trivial(fam) is None)
         bad += count * (not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :]))
         worst = max(worst, len(kern.layers[3]))
-    return k1_ok, bad, worst
+        total += count
+    return k1_ok, bad, worst, total
 
 
-def _grid_check(name, results) -> Check:
-    bad = [r.params for r in results if r.validity and not r.holds]
-    return Check(
-        name,
-        "pass" if not bad else "fail",
-        f"all {len(results)} valid grid points hold",
-        bad if bad else f"{len(results)} points",
+def _kernel_hm93() -> tuple:
+    kern = covers.kernel(generators.gen_hm(generators.HMSpec.standard(9, 3)))
+    expect2 = tuple(sorted(famcore.kset(p) for p in ((1, 2), (1, 3), (1, 4))))
+    expect3 = (famcore.kset((2, 3, 4)),)
+    return (
+        kern.layers[1] == () and kern.layers[2] == expect2 and kern.layers[3] == expect3,
+        "{x,s} pairs plus S itself",
+        {str(i): [famcore.elements(c) for c in layer] for i, layer in kern.layers.items()},
     )
+
+
+def _grid_check(name: str) -> tuple:
+    results = _audit_grid(name)
+    bad = [r.params for r in results if r.validity and not r.holds]
+    actual = bad if bad else f"{len(results)} points"
+    return not bad, f"all {len(results)} valid grid points hold", actual
 
 
 def suite_theorems(jobs: int = 1) -> VerificationReport:
@@ -296,83 +309,44 @@ def suite_theorems(jobs: int = 1) -> VerificationReport:
     if jobs != 1:
         raise ValueError(f"suite_theorems runs serially; jobs must be 1, got {jobs}")
     t0 = time.perf_counter()
-    fams73 = list(enumeration.enumerate_maximal_intersecting(7, 3))
-    fano = famcore.family(7, 3, FANO_LINES)
-    hm93 = generators.gen_hm(generators.HMSpec.standard(9, 3))
-
-    @functools.cache
-    def kernel_scan() -> tuple[bool, int, int]:
-        """The (7,3) kernels, once per degree-order encode, exact because
-        kernels commute with relabelling; shared by the three landscape
-        checks, and a crash fails each of them."""
-        return _kernel_scan(fams73)
-
-    def kernel_k1() -> Check:
-        return Check(
+    # the (7,3) landscape, streamed into one kernel scan that the three
+    # landscape checks share; a crash in it fails each of them
+    scan = functools.cache(lambda: _kernel_scan(enumeration.enumerate_maximal_intersecting(7, 3)))
+    rows = [
+        *_named(
+            "triple-transversal",
+            functools.partial(_triple_transversal, expect_max=16),
+            ((12, 3, 4), (13, 3, 4)),
+        ),
+        ("triple-transversal-degenerate", _triple_transversal_degenerate),
+        *_named("direct-product-ratio", _ratio, THM5_EXACT_INSTANCES),
+        *_named("frankl-wilson", _frankl_wilson, ((7, 3, 2), (8, 3, 2), (9, 4, 3))),
+        *_named("matching-tightness", _matching, ((9, 3, 2), (8, 2, 2), (12, 3, 3))),
+        (
+            "fano-cover-number",
+            lambda: _equals(3, covers.cover_number(famcore.family(7, 3, FANO_LINES))),
+        ),
+        (
             "kernel-K1-empty-iff-nontrivial-7-3",
-            "pass" if kernel_scan()[0] else "fail",
-            "K1 empty exactly for non-trivial families",
-            f"{len(fams73)} families",
-        )
-
-    def kernel_pairwise() -> Check:
-        bad = kernel_scan()[1]
-        return Check(
+            lambda: (
+                scan()[0],
+                "K1 empty exactly for non-trivial families",
+                f"{scan()[3]} families",
+            ),
+        ),
+        (
             "kernel-size-capped-intersecting-7-3",
-            "pass" if bad == 0 else "fail",
-            "size-<=k kernel pairwise intersecting for all maximal families",
-            f"{bad} violations in {len(fams73)} families",
-        )
-
-    def kernel_layer_bound() -> Check:
-        worst = kernel_scan()[2]
-        return Check(
-            "kernel-layer3-bound-7-3",
-            "pass" if worst <= 27 else "fail",
-            "|K_3| <= 27",
-            worst,
-        )
-
-    def kernel_hm93() -> Check:
-        kern = covers.kernel(hm93)
-        expect2 = tuple(sorted(famcore.kset(p) for p in ((1, 2), (1, 3), (1, 4))))
-        expect3 = (famcore.kset((2, 3, 4)),)
-        ok = kern.layers[1] == () and kern.layers[2] == expect2 and kern.layers[3] == expect3
-        return Check(
-            "kernel-hm-9-3",
-            "pass" if ok else "fail",
-            "{x,s} pairs plus S itself",
-            {str(i): [famcore.elements(c) for c in layer] for i, layer in kern.layers.items()},
-        )
-
-    def fano_tau() -> Check:
-        tau = covers.cover_number(fano)
-        return Check("fano-cover-number", "pass" if tau == 3 else "fail", 3, tau)
-
-    tasks = [
-        ("triple-transversal-12-3-4", lambda: _check_triple_transversal(12, 3, 4, 16)),
-        ("triple-transversal-13-3-4", lambda: _check_triple_transversal(13, 3, 4, 16)),
-        ("triple-transversal-degenerate", _check_triple_transversal_degenerate),
+            lambda: (
+                scan()[1] == 0,
+                "size-<=k kernel pairwise intersecting for all maximal families",
+                f"{scan()[1]} violations in {scan()[3]} families",
+            ),
+        ),
+        ("kernel-layer3-bound-7-3", lambda: (scan()[2] <= 27, "|K_3| <= 27", scan()[2])),
+        ("kernel-hm-9-3", _kernel_hm93),
+        *((f"audit-{a}-grid", functools.partial(_grid_check, a)) for a in AUDIT_GRIDS),
     ]
-    for sizes, quotas in THM5_EXACT_INSTANCES:
-        tasks.append((f"direct-product-ratio-{sizes}", lambda s=sizes, q=quotas: _check_ratio(s, q)))
-    tasks += [
-        ("frankl-wilson-7-3-2", lambda: _check_frankl_wilson(7, 3, 2)),
-        ("frankl-wilson-8-3-2", lambda: _check_frankl_wilson(8, 3, 2)),
-        ("frankl-wilson-9-4-3", lambda: _check_frankl_wilson(9, 4, 3)),
-        ("matching-tightness-9-3-2", lambda: _check_matching(9, 3, 2)),
-        ("matching-tightness-8-2-2", lambda: _check_matching(8, 2, 2)),
-        ("matching-tightness-12-3-3", lambda: _check_matching(12, 3, 3)),
-        ("fano-cover-number", fano_tau),
-        ("kernel-K1-empty-iff-nontrivial-7-3", kernel_k1),
-        ("kernel-size-capped-intersecting-7-3", kernel_pairwise),
-        ("kernel-layer3-bound-7-3", kernel_layer_bound),
-        ("kernel-hm-9-3", kernel_hm93),
-    ]
-    for a in AUDIT_GRIDS:
-        name = f"audit-{a}-grid"
-        tasks.append((name, lambda name=name, a=a: _grid_check(name, _audit_grid(a))))
-    checks = _run_tasks(tasks)
+    checks = _run_tasks(rows)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport("theorems", {}, checks, elapsed)
 
@@ -479,9 +453,11 @@ def cmd_kernel(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.classes and args.n > enumeration.EXACT_CANONICAL_MAX_N:  # before a sweep of minutes
         raise ValueError(f"--classes needs n <= {enumeration.EXACT_CANONICAL_MAX_N}, got {args.n}")
-    fams = list(enumeration.enumerate_maximal_intersecting(args.n, args.k))
-    obj = {"n": args.n, "k": args.k, "labeled_total": len(fams)}
+    fams = enumeration.enumerate_maximal_intersecting(args.n, args.k)
+    obj = {"n": args.n, "k": args.k}
     if args.classes:
+        classes = enumeration.iso_classes(fams)  # streamed: no family list is kept
+        obj["labeled_total"] = sum(c.labeled_count for c in classes)
         obj["classes"] = [
             {
                 "size": c.size,
@@ -492,12 +468,12 @@ def cmd_enumerate(args) -> int:
                 "labeled_count": c.labeled_count,
                 "members": [list(famcore.elements(m)) for m in c.canonical.members],
             }
-            for c in enumeration.iso_classes(fams)
+            for c in classes
         ]
     else:
-        obj["families"] = [
-            [list(famcore.elements(m)) for m in f.members] for f in fams
-        ]
+        fams = list(fams)
+        obj["labeled_total"] = len(fams)
+        obj["families"] = [[list(famcore.elements(m)) for m in f.members] for f in fams]
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.output)
     return 0
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -263,7 +264,7 @@ def test_kernel_scan_matches_per_family_kernels():
         bad += not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :])
         worst = max(worst, len(kern.layers[3]))
     assert (k1_ok, bad, worst) == (True, 0, 10)
-    assert cli._kernel_scan(fams) == (k1_ok, bad, worst)
+    assert cli._kernel_scan(fams) == (k1_ok, bad, worst, 6127)
 
 
 def test_kernel_scan_counts_violations_per_family():
@@ -272,7 +273,7 @@ def test_kernel_scan_counts_violations_per_family():
     fams = [famcore.family(7, 3, [t]) for t in ((1, 2, 3), (4, 5, 6), (2, 5, 7))]
     fams.append(famcore.family(7, 3, [(1, 2, 3), (1, 4, 5)]))
     assert len({enumeration._degree_order_encode(7, f.members) for f in fams}) == 2
-    assert cli._kernel_scan(fams) == (True, 4, 0)
+    assert cli._kernel_scan(fams) == (True, 4, 0, 4)
 
 
 def test_kernel_scan_compares_k1_with_triviality(monkeypatch):
@@ -336,6 +337,80 @@ def test_theorems_kernel_crash_fails_only_kernel_checks(monkeypatch):
     for c in report.checks:
         if c.name in KERNEL_CHECKS:
             assert c.actual == "error: RuntimeError: boom"
+
+
+def test_theorems_crash_keeps_the_row_name(monkeypatch):
+    # a crashed check is reported under its own pinned name, and only the
+    # checks that build constrained hosts fail
+    def broken(*a, **kw):
+        raise RuntimeError("no host")
+
+    monkeypatch.setattr(cli.generators, "gen_constrained", broken)
+    report = cli.suite_theorems()
+    assert [c.name for c in report.checks] == THEOREMS_CHECKS
+    failed = [c for c in report.checks if c.status == "fail"]
+    assert [c.name for c in failed] == [n for n in THEOREMS_CHECKS if n.startswith("direct-product")]
+    assert len(failed) == 4
+    assert all(c.actual == "error: RuntimeError: no host" and c.expected is None for c in failed)
+
+
+def test_prop_k3_crash_fails_only_its_check(monkeypatch):
+    # delta <= None raises inside min-degree-bound; the other checks still run
+    monkeypatch.setattr(cli.bounds, "hm_min_degree", lambda n, k: None)
+    report = cli.suite_prop_k3(7)
+    status = {c.name: c.status for c in report.checks}
+    assert list(status) == [
+        "class-count",
+        "ekr-size-bound",
+        "unique-star-class",
+        "hm-size-bound",
+        "hm-class-present",
+        "min-degree-bound",
+        "degree-ekr",
+        "labeled-total",
+    ]
+    assert {n for n, st in status.items() if st == "fail"} == {"hm-class-present", "min-degree-bound"}
+    crashed = report.checks[5]
+    assert crashed.expected is None and crashed.actual.startswith("error: TypeError: ")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("verify", "--suite", "theorems", "--json", "--no-timing"),
+            "731ac129d460849250ec5968a0d64ccdc4e470f7996f15858818e31bd685674f",
+        ),
+        (
+            ("verify", "--suite", "prop-k3", "--n", "7", "--json", "--no-timing"),
+            "1077e1d83243d43b7274cc2c7baf7bf053c9f5d36a33e9b48343831360ad61b7",
+        ),
+        (
+            ("enumerate", "--n", "7", "--k", "3", "--classes"),
+            "19fa86e4c92a8ada701099613d3d4dd87e82fb768bebb30b5d9b3802b3acf389",
+        ),
+    ],
+)
+def test_report_bytes_pinned(capsys, argv, digest):
+    # digests of the reports as the suites have always printed them
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_enumerate_classes_streams_the_families(capsys, monkeypatch):
+    # iso_classes gets the enumeration itself, not a list of every family
+    seen = []
+    real = enumeration.iso_classes
+
+    def recording(fams):
+        seen.append(fams)
+        return real(fams)
+
+    monkeypatch.setattr(enumeration, "iso_classes", recording)
+    code, out, _ = run(capsys, "enumerate", "--n", "7", "--k", "3", "--classes")
+    assert code == 0 and json.loads(out)["labeled_total"] == 6127
+    assert len(seen) == 1 and not isinstance(seen[0], (list, tuple))
 
 
 def test_verify_refuses_ignored_options(capsys):
