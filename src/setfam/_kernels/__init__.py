@@ -1,9 +1,8 @@
-"""Search kernels: maximal-clique enumeration, max-clique size,
-canonical relabeling, relabeling invariants and relabeling search, in
-pure Python (see ``pure``)."""
+"""Search kernels: maximal-clique enumeration, max-clique size and
+canonical relabeling, in pure Python (see ``pure``)."""
 
 from . import pure
-from .pure import canonical_min, find_relabeling, max_clique_size, maximal_cliques, relabel_profile
+from .pure import canonical_min, max_clique_size, maximal_cliques
 
 BACKEND = "pure"
 

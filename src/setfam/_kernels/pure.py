@@ -6,11 +6,12 @@ as a bitmask over vertex indices (no self loops).
 
 from __future__ import annotations
 
-from ..famcore import member_columns
+from typing import Iterator
 
 
-def maximal_cliques(adj, nv: int) -> list[int]:
-    """All maximal cliques as vertex bitmasks (Bron-Kerbosch, pivoting).
+def maximal_cliques(adj, nv: int) -> Iterator[int]:
+    """Yield every maximal clique as a vertex bitmask (Bron-Kerbosch,
+    pivoting), one at a time: no list of cliques is built.
 
     ``expand`` recurses once per vertex of the clique being grown, so it
     uses at most omega + 1 frames.  On the intersection graph of the
@@ -18,13 +19,12 @@ def maximal_cliques(adj, nv: int) -> list[int]:
     C(n-1, k-1) + 1 frames: 16 at (7,3), 57 at (9,4).  That passes
     Python's default limit of 1000 only from C(n-1, k-1) >= 1000 on,
     (15,5) or (21,4), far past any enumeration that finishes."""
-    out: list[int] = []
     if nv == 0:
-        return out
+        return
 
     def expand(r: int, p: int, x: int):
         if not p and not x:
-            out.append(r)
+            yield r
             return
         # pivot u maximizing |P & N(u)| over P | X
         m = p | x
@@ -43,12 +43,11 @@ def maximal_cliques(adj, nv: int) -> list[int]:
             b = ext & -ext
             ext ^= b
             av = adj[b.bit_length() - 1]
-            expand(r | b, p & av, x & av)
+            yield from expand(r | b, p & av, x & av)
             p ^= b
             x |= b
 
-    expand(0, (1 << nv) - 1, 0)
-    return out
+    yield from expand(0, (1 << nv) - 1, 0)
 
 
 def max_clique_size(adj, nv: int, cand: int, lb: int = 0, host=None) -> int:
@@ -232,7 +231,7 @@ def _child_orbits(sym, host, u: int, np_: int):
     return (new_atoms, orbits) if new_atoms and orbits else None
 
 
-def canonical_min(n: int, members) -> tuple[int, ...]:
+def canonical_min(n: int, members, *, known=frozenset()) -> tuple[int, ...]:
     """Lexicographically least relabeling of a family under permutations of [n].
 
     members are element bitmasks; returns the encode, the sorted tuple of
@@ -242,6 +241,13 @@ def canonical_min(n: int, members) -> tuple[int, ...]:
     order, support elements first (a minimal relabeling never puts an
     unused element below a used one).  Per-member lower-bound masks prune
     against the incumbent; a key equal to the incumbent cannot beat it.
+
+    known must hold only canonical encodes (results of this function) of
+    families on the same n.  The search stops at the first leaf in known
+    and returns it: a leaf is a relabeling of the family, so the family
+    is isomorphic to the known one, whose least relabeling is that leaf.
+    When the family's class is not in known no leaf is, and the search
+    runs to the end as without it.
     """
     ms = list(members)
     m = len(ms)
@@ -261,98 +267,44 @@ def canonical_min(n: int, members) -> tuple[int, ...]:
     # member indices containing each support element
     cols = {e: [i for i in range(m) if ms[i] >> e & 1] for e in sup}
 
-    def rec(t, j, p, unassigned, low):
-        # low is this node's sorted lower-bound list (computed by the parent)
+    def rec(t, j, p, unassigned, low) -> bool:
+        # low is this node's sorted lower-bound list (computed by the
+        # parent); True means a leaf in known was reached: stop
         nonlocal best
         if not unassigned:
             if best is None or low < best:
                 best = low
-            return
+            return tuple(low) in known
         bitp = 1 << p
         shift = p + 1
+        # a member's bound in the child that gives label p to e: its
+        # unassigned elements take the next labels, from p if it holds e,
+        # else from p + 1; only the kids searched get their own t and j
+        ones = [(1 << x) - 1 for x in j]
+        hit = [t[i] | ones[i] << p for i in range(m)]
+        miss = [t[i] | ones[i] << shift for i in range(m)]
         kids = []
         for e in unassigned:
+            key = miss.copy()
+            for i in cols[e]:
+                key[i] = hit[i]
+            key.sort()
+            kids.append((key, e))
+        kids.sort(key=lambda kv: kv[0])
+        for key, e in kids:
+            if best is not None and key >= best:
+                break  # keys ascend; the rest are dominated too
             t2 = t.copy()
             j2 = j.copy()
             for i in cols[e]:
                 t2[i] |= bitp
                 j2[i] -= 1
-            key = [t2[i] | (((1 << j2[i]) - 1) << shift) for i in range(m)]
-            key.sort()
-            kids.append((key, e, t2, j2))
-        kids.sort(key=lambda kv: kv[0])
-        for key, e, t2, j2 in kids:
-            if best is not None and key >= best:
-                break  # keys ascend; the rest are dominated too
-            rec(t2, j2, shift, [u for u in unassigned if u != e], key)
+            if rec(t2, j2, shift, [u for u in unassigned if u != e], key):
+                return True
+        return False
 
     t0 = [0] * m
     j0 = [v.bit_count() for v in ms]
     low0 = sorted((1 << j) - 1 for j in j0)
     rec(t0, j0, 0, sup, low0)
     return tuple(best)
-
-
-def relabel_profile(n: int, members):
-    """(mset, co, inv, key): the member set; co[a][b], the number of
-    members holding both a and b (the diagonal is the degree); inv[e] =
-    (degree, sorted co row), element e's relabeling invariant; and key =
-    (size, 0 in mset, sorted inv), the family's.  Equal keys are needed
-    for a relabeling, but do not prove one."""
-    mset = frozenset(members)
-    # the columns index members in set order; co does not depend on it
-    cols = member_columns(n, mset)
-    co = [[(c & d).bit_count() for d in cols] for c in cols]
-    inv = [(co[e][e], tuple(sorted(co[e]))) for e in range(n)]
-    return mset, co, inv, (len(mset), 0 in mset, tuple(sorted(inv)))
-
-
-def find_relabeling(n: int, source, target) -> tuple[int, ...] | None:
-    """A permutation p of [n] carrying the source family's member set
-    exactly onto the target's (element e goes to p[e]), or None when no
-    permutation does.  source and target are relabel_profile results.
-
-    Backtracking over source elements, fewest candidates first.  Element
-    invariants prune: e may go only to a target element with the same
-    degree and sorted co-degree row, and every assigned pair must keep its
-    co-degree.  Invariants only prune; a member counts as placed only once
-    all its elements are assigned and its image is a target member.
-    """
-    src, co_s, inv_s, key_s = source
-    tgt, co_t, inv_t, key_t = target
-    # the key holds the sizes and the empty member, which no step below
-    # places because it has no elements
-    if key_s != key_t:
-        return None
-    cands = [[t for t in range(n) if inv_t[t] == inv_s[e]] for e in range(n)]
-    order = sorted(range(n), key=lambda e: len(cands[e]))
-    # the members whose last element in order is order[i], as element lists
-    done = [[] for _ in range(n)]
-    pos = {e: i for i, e in enumerate(order)}
-    for v in src:
-        els = [e for e in range(n) if v >> e & 1]
-        if els:
-            done[max(pos[e] for e in els)].append(els)
-    perm = [-1] * n
-
-    def place(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        e = order[i]
-        row_s = co_s[e]
-        before = order[:i]
-        for t in cands[e]:
-            if used >> t & 1:
-                continue
-            row_t = co_t[t]
-            if any(row_s[f] != row_t[perm[f]] for f in before):
-                continue
-            perm[e] = t
-            if all(sum(1 << perm[a] for a in els) in tgt for els in done[i]) and place(
-                i + 1, used | 1 << t
-            ):
-                return True
-        perm[e] = -1
-        return False
-
-    return tuple(perm) if place(0, 0) else None

@@ -380,13 +380,10 @@ def cmd_gen(args) -> int:
     elif args.what == "hm":
         if args.s is not None:
             s = famcore.kset(int(t) for t in args.s.split(","))
-            spec = generators.HMSpec(args.n, args.k, args.x, s)
-        elif args.x != 1:
-            elems = [e for e in range(1, args.k + 2) if e != args.x][: args.k]
-            spec = generators.HMSpec(args.n, args.k, args.x, famcore.kset(elems))
         else:
-            spec = generators.HMSpec.standard(args.n, args.k)
-        fam = generators.gen_hm(spec)
+            # the first k of 1..k+1 other than x: {2, .., k+1} for x = 1
+            s = famcore.kset([e for e in range(1, args.k + 2) if e != args.x][: args.k])
+        fam = generators.gen_hm(generators.HMSpec(args.n, args.k, args.x, s))
     elif args.what == "meets-front":
         fam = generators.gen_meets_front(args.n, args.k, args.s)
     elif args.what == "constrained":

@@ -5,11 +5,11 @@ Maximal intersecting k-uniform families on [n] are exactly the maximal
 cliques of the intersection graph on all C(n, k) k-sets, so enumeration
 is maximal-clique enumeration over that graph.  Isomorphism uses the
 minimum relabeling over all permutations of [n] (exact for n <= 10).
-The one relabeling invariant is ``_kernels.relabel_profile``: its key
-buckets families here.  Above n = 10 there is no exact canonical form,
-and ``iso_classes`` refuses such families.
-Reducing to classes canonicalizes once per class, and works once per
-degree-order encode (``encode_counts``), not once per family.
+Above n = 10 there is no exact canonical form, and ``iso_classes``
+refuses such families.  Reducing to classes runs one canonical search
+per degree-order encode (``encode_counts``), not one per family, and a
+search stops at the first relabeling that is a class canonical already
+found (``_kernels.canonical_min``'s ``known``).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def intersection_adjacency(members, t: int = 1, *, cols=None) -> list[int]:
 
 def enumerate_maximal_intersecting(n: int, k: int) -> Iterator[Family]:
     """Yield every maximal intersecting k-uniform family on [n] once, in
-    discovery order.  Requires n > 2k: at n = 2k every family avoiding
+    discovery order, each as soon as the clique search finds it.  Requires n > 2k: at n = 2k every family avoiding
     both sets of a complement pair extends ambiguously and the count
     explodes, so that regime is rejected, as are n outside [2, MAX_GROUND]
     and k outside [1, n], before any k-set is built."""
@@ -168,36 +168,22 @@ def iso_classes(families: Iterable[Family]) -> list[IsoClass]:
     """Group families by canonical form.
 
     Classes are reported by size descending, then by canonical encoding,
-    then by n and k.  Each encode of ``encode_counts`` is placed once,
-    with its count: at (7,3) and (8,3), 75 encodes stand for thousands
-    of families.
-
-    An encode's relabel_profile is built once, and its key, with n and k,
-    picks the encode's bucket.  A bucket keeps, for each class found in
-    it so far, the class key (n, k and the canonical encode) and the
-    profile of the encode that opened the class, a relabeling target for
-    the whole class.  An encode that some permutation carries onto one of
-    those targets joins that class; only an encode that relabels onto
-    none of them is canonicalized, and it opens a new class in its
-    bucket.  So canonicalization runs once per class, every class is
-    still keyed by its exact minimum encode on its own n and k, and no
+    then by n and k.  Each encode of ``encode_counts`` is canonicalized
+    once, and its count goes to its class: at (7,3) and (8,3), 75 encodes
+    stand for thousands of families.  The canonical encodes found so far
+    on the same n and k are passed as ``known``, so the search for an
+    encode of a class already found stops at that class's canonical
+    encode; only the first encode of each class runs a full search.  No
     assumption is made about which labeled copies the input holds.
     """
     counts: dict[tuple, int] = {}
-    buckets: dict[tuple, list[tuple]] = {}
+    seen: dict[tuple, set] = {}
     for (n, k, enc), count in encode_counts(families).items():
-        prof = _kernels.relabel_profile(n, enc)
-        known = buckets.setdefault((n, k, prof[3]), [])
-        for key, target in known:
-            if _kernels.find_relabeling(n, prof, target) is not None:
-                break
-        else:
-            # the bucket key is a relabeling invariant, so this class can
-            # live only in this bucket: its key is new
-            key = (n, k, canonical_members(Family(n, k, enc)))
-            known.append((key, prof))
-            counts[key] = 0
-        counts[key] += count
+        known = seen.setdefault((n, k), set())
+        canon = _kernels.canonical_min(n, enc, known=known)
+        known.add(canon)
+        key = (n, k, canon)
+        counts[key] = counts.get(key, 0) + count
     out = []
     for key, count in counts.items():
         rep = Family(*key)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setfam import cli, covers, enumeration, famcore
-from setfam.famcore import parse_fam
+from setfam.famcore import kset, parse_fam
 from setfam.generators import (
     ConstraintSpec,
+    HMSpec,
     format_constraint_spec,
     gen_full_star,
+    gen_hm,
     gen_meets_front,
 )
 
@@ -45,7 +47,11 @@ def test_gen_to_file_and_stats(tmp_path, capsys):
 
 def test_gen_hm_and_meets_front(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "hm", "--n", "9", "--k", "3")
-    assert code == 0 and parse_fam(out).members and len(parse_fam(out)) == 19
+    assert code == 0 and parse_fam(out) == gen_hm(HMSpec.standard(9, 3))
+    assert len(parse_fam(out)) == 19
+    # without --s, s is the first k of 1..k+1 other than x
+    code, out, _ = run(capsys, "gen", "hm", "--n", "9", "--k", "3", "--x", "3")
+    assert code == 0 and parse_fam(out) == gen_hm(HMSpec(9, 3, 3, kset((1, 2, 4))))
     code, out, _ = run(capsys, "gen", "hm", "--n", "9", "--k", "3", "--x", "2", "--s", "1,3,4")
     assert code == 0 and len(parse_fam(out)) == 19
     code, out, _ = run(capsys, "gen", "meets-front", "--n", "9", "--k", "3", "--s", "2")

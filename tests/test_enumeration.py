@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
@@ -6,7 +7,6 @@ import pytest
 
 from conftest import brute_canonical, naive_maximal_intersecting
 from setfam import _kernels, enumeration
-from setfam._kernels import relabel_profile
 from setfam.enumeration import (
     UnsupportedRegimeError,
     canonical_members,
@@ -102,6 +102,19 @@ def test_7_3_stream_contents():
         assert maximal_closure(f) == f
 
 
+def test_enumeration_streams_families():
+    # the first family comes as soon as the clique search finds it: at
+    # (9,3) a list of all 72,531 clique masks alone would take about 3 MB
+    tracemalloc.start()
+    try:
+        first = next(enumerate_maximal_intersecting(9, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert is_intersecting(first) and maximal_closure(first) == first
+    assert peak < 1_000_000
+
+
 def test_7_3_fifteen_classes_and_bounds():
     classes = iso_classes(enumerate_maximal_intersecting(7, 3))
     assert len(classes) == 15
@@ -131,19 +144,6 @@ def test_canonical_members_symmetries():
     assert canonical_members(Family(7, 3, canonical_members(hm1))) == canonical_members(hm1)
 
 
-def test_coarse_key_is_a_relabeling_invariant():
-    def key(fam):
-        return relabel_profile(fam.n, fam.members)[3]
-
-    star = gen_full_star(12, 3, 1)
-    hm = gen_hm(HMSpec.standard(12, 3))
-    perm = [5, 11, 0, 7, 2, 9, 1, 10, 3, 8, 6, 4]
-    for fam in (star, hm):
-        assert key(fam) == key(relabel(fam, perm))
-    assert key(gen_full_star(12, 3, 7)) == key(star)
-    assert key(star) != key(hm)
-
-
 def test_canonical_members_brute_force():
     rng = random.Random(3)
     from setfam.famcore import all_ksets
@@ -166,11 +166,15 @@ def test_iso_classes_merges_relabelings():
 
 
 def test_iso_classes_on_partial_shared_bucket():
-    # one profile-key bucket of (7,3) holds two classes (orbits of 840 and
-    # 140); a shuffled part of it is not a union of whole orbits, and must
-    # still group exactly as canonicalizing every family does
+    # one profile key of (7,3) holds two classes (orbits of 840 and 140):
+    # the profile is each element's degree and sorted co-degree row; a
+    # shuffled part of that bucket is not a union of whole orbits, and
+    # must still group exactly as canonicalizing every family does
     def key(fam):
-        return relabel_profile(fam.n, fam.members)[3]
+        cols = member_columns(fam.n, fam.members)
+        return tuple(
+            sorted((c.bit_count(), tuple(sorted((c & d).bit_count() for d in cols))) for c in cols)
+        )
 
     fams = list(enumerate_maximal_intersecting(7, 3))
     by_key = Counter(key(c.canonical) for c in iso_classes(fams))
@@ -350,20 +354,22 @@ def test_iso_classes_keeps_equal_degree_classes_apart():
 
 
 def test_iso_classes_effort_7_3(monkeypatch):
-    # the 6127 families are counted by degree-order encode first:
-    # relabel_profile runs once per encode (75), a class's first encode
-    # is its relabeling target, and canonical_min runs once per class
+    # the 6127 families are counted by degree-order encode first, and
+    # canonical_min runs once per encode (75): 15 full searches, one per
+    # class, and 60 that stop at a class canonical already known
     calls = Counter()
-    for name in ("find_relabeling", "relabel_profile", "canonical_min"):
+    real = _kernels.canonical_min
 
-        def counted(*args, _f=getattr(_kernels, name), _name=name):
-            calls[_name] += 1
-            return _f(*args)
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls["canonical_min"] += 1
+        calls["new class"] += out not in kwargs["known"]
+        return out
 
-        monkeypatch.setattr(_kernels, name, counted)
+    monkeypatch.setattr(_kernels, "canonical_min", counted)
     classes = iso_classes(enumerate_maximal_intersecting(7, 3))
     assert len(classes) == 15 and sum(c.labeled_count for c in classes) == 6127
-    assert calls == {"find_relabeling": 61, "relabel_profile": 75, "canonical_min": 15}
+    assert calls == {"canonical_min": 75, "new class": 15}
 
 
 def test_class_report_order():

@@ -1,7 +1,8 @@
 """Kernel contract tests: the search kernels against independent oracles."""
 
 import random
-from itertools import combinations, permutations
+import time
+from itertools import combinations, product
 
 import pytest
 
@@ -26,11 +27,6 @@ def random_graph(rng, nv, p):
 def relabel_masks(members, perm):
     """The member set under the element map i -> perm[i]."""
     return {sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1) for m in members}
-
-
-def find_relabeling(n, source, target):
-    """pure.find_relabeling on the profiles of two member lists."""
-    return pure.find_relabeling(n, pure.relabel_profile(n, source), pure.relabel_profile(n, target))
 
 
 def test_maximal_cliques_against_networkx():
@@ -252,77 +248,69 @@ def test_column_split_against_count_vectors():
 
 
 def test_canonical_min_against_permutation_sweep():
+    # known holds canonical encodes of other random families on the same
+    # n, and now and then the input's own class: a search that stops at a
+    # known leaf must still return the least relabeling
     rng = random.Random(7)
+    stopped = 0
     for _ in range(100):
         n = rng.randint(2, 6)
         k = rng.randint(1, n)
         pool = [sum(1 << i for i in c) for c in combinations(range(n), k)]
-        members = tuple(sorted(rng.sample(pool, rng.randint(1, min(5, len(pool))))))
-        assert pure.canonical_min(n, members) == brute_canonical(n, members)
-    assert pure.canonical_min(6, ()) == ()
 
+        def draw():
+            return tuple(sorted(rng.sample(pool, rng.randint(1, min(5, len(pool))))))
 
-def test_find_relabeling_against_permutation_sweep():
-    # half the targets are relabelings of the source, half are random
-    # families of the same size; a permutation must come back exactly
-    # when the sweep finds one, and it must carry source onto target
-    rng = random.Random(8)
-    found = 0
-    cases = 400
-    for _ in range(cases):
-        n = rng.randint(2, 6)
-        k = rng.randint(1, n - 1)
-        pool = [sum(1 << i for i in c) for c in combinations(range(n), k)]
-        source = tuple(rng.sample(pool, rng.randint(1, min(8, len(pool)))))
+        members = draw()
+        want = brute_canonical(n, members)
+        assert pure.canonical_min(n, members) == want
+        known = {brute_canonical(n, draw()) for _ in range(rng.randint(1, 4))}
         if rng.random() < 0.5:
-            perm = list(range(n))
-            rng.shuffle(perm)
-            target = tuple(relabel_masks(source, perm))
-        else:
-            target = tuple(rng.sample(pool, len(source)))
-        exists = any(
-            relabel_masks(source, p) == set(target) for p in permutations(range(n))
-        )
-        got = find_relabeling(n, source, target)
-        assert (got is not None) == exists
-        if got is not None:
-            found += 1
-            assert sorted(got) == list(range(n))
-            assert relabel_masks(source, got) == set(target)
-    assert min(found, cases - found) >= 30  # both outcomes are exercised
-    # unequal sizes, and the empty member, never relabel away
-    assert find_relabeling(3, (0b011,), (0b011, 0b101)) is None
-    assert find_relabeling(3, (0, 0b011), (0b110, 0b011)) is None
-    assert find_relabeling(3, (0, 0b011), (0, 0b110)) is not None
+            known.add(want)
+        stopped += want in known
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = tuple(relabel_masks(members, perm))
+        assert pure.canonical_min(n, moved, known=known) == want
+    assert stopped >= 30  # the early stop is exercised
+    assert pure.canonical_min(6, ()) == ()
+    assert pure.canonical_min(6, (), known={()}) == ()
+    # another size, or the empty member, never matches a known class
+    for members, other in (((0b011,), (0b011, 0b101)), ((0, 0b011), (0b110, 0b011))):
+        known = {pure.canonical_min(3, other)}
+        assert pure.canonical_min(3, members, known=known) == brute_canonical(3, members)
 
 
-def test_find_relabeling_where_the_profile_cannot_decide():
-    # the canonical encodes of the two (7,3) classes that share a profile
-    # key (orbits of 840 and 140 labeled copies): every element invariant
-    # agrees, so only the member-image check can tell them apart
+def test_canonical_min_known_where_invariants_cannot_decide():
+    # the canonical encodes of the two (7,3) classes that share every
+    # element's degree and sorted co-degree row (orbits of 840 and 140
+    # labeled copies): knowing one must not draw the other into it
     a = (7, 11, 13, 19, 22, 28, 37, 38, 42, 49)
     b = (7, 11, 13, 22, 26, 28, 38, 42, 44, 49)
-    pa, pb = pure.relabel_profile(7, a), pure.relabel_profile(7, b)
-    assert pa[3] == pb[3]
-    assert pure.canonical_min(7, a) != pure.canonical_min(7, b)
-    assert pure.find_relabeling(7, pa, pb) is None
-    assert pure.find_relabeling(7, pb, pa) is None
-    perm = [3, 0, 6, 4, 2, 5, 1]
-    moved = tuple(relabel_masks(a, perm))
-    got = find_relabeling(7, moved, a)
-    assert got is not None and relabel_masks(moved, got) == set(a)
-    assert find_relabeling(7, moved, b) is None
+    ca, cb = pure.canonical_min(7, a), pure.canonical_min(7, b)
+    assert ca != cb
+    moved = tuple(relabel_masks(a, [3, 0, 6, 4, 2, 5, 1]))
+    assert pure.canonical_min(7, moved, known={cb}) == ca
+    assert pure.canonical_min(7, moved, known={ca, cb}) == ca
 
 
-def test_relabel_profile_fields():
-    members = (0b0011, 0b0101, 0b0110, 0b1001)
-    mset, co, inv, key = pure.relabel_profile(4, members)
-    assert mset == frozenset(members)
-    assert [co[e][e] for e in range(4)] == [3, 2, 2, 1]
-    assert co[0][1] == co[1][0] == 1 and co[1][2] == 1 and co[2][3] == 0
-    assert inv[0] == (3, (1, 1, 1, 3))
-    assert key == (4, False, tuple(sorted(inv)))
-    assert pure.relabel_profile(4, (0,) + members)[3][:2] == (5, True)
+def test_canonical_min_known_stops_early():
+    # the 27 triples meeting each of {1,2,3}, {4,5,6}, {7,8,9} once: a
+    # full search takes about 150 times as long as one that stops at the
+    # known canonical leaf, so a search that ran on after it shows here
+    fam = [sum(1 << e for e in c) for c in product((0, 1, 2), (3, 4, 5), (6, 7, 8))]
+    canon = pure.canonical_min(9, fam)
+    moved = tuple(relabel_masks(fam, [4, 8, 0, 6, 2, 7, 1, 5, 3]))
+
+    def fastest(reps, **kw):
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            assert pure.canonical_min(9, moved, **kw) == canon
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert fastest(5, known={canon}) * 10 < fastest(3)
 
 
 def test_backend_interface():
@@ -333,8 +321,6 @@ def test_backend_interface():
         "maximal_cliques",
         "max_clique_size",
         "canonical_min",
-        "relabel_profile",
-        "find_relabeling",
     ):
         assert getattr(backend, name) is getattr(_kernels, name)
     with pytest.raises(ValueError):
