@@ -51,9 +51,11 @@ def ekr_bound(n: int, k: int) -> int:
 
 def hm_bound(n: int, k: int) -> int:
     """Maximum size of a non-trivial intersecting family for n > 2k
-    (Hilton-Milner): C(n-1,k-1) - C(n-k-1,k-1) + 1."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    (Hilton-Milner): C(n-1,k-1) - C(n-k-1,k-1) + 1.  At n = 2k the value
+    is C(2k-1,k-1), the EKR bound, which is tight there too; below 2k every
+    k-set meets every other, so n < 2k is refused."""
+    if k < 1 or n < 2 * k:
+        raise ValueError(f"need k >= 1 and n >= 2k, got n={n}, k={k}")
     return binom(n - 1, k - 1) - binom(n - k - 1, k - 1) + 1
 
 

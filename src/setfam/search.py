@@ -1,9 +1,12 @@
 """Exact maximum intersecting subfamilies and EKR-property verdicts.
 
 The largest intersecting subfamily of a host family is the maximum
-clique of the host's intersection graph; the search is exact branch and
-bound with greedy-coloring upper bounds, seeded with the best star.  The
-proof of the optimum branches once per member orbit in every frame whose
+clique of the host's intersection graph.  The best star settles it first
+when it reaches the Hilton-Milner bound on non-trivial intersecting
+families (the EKR bound at n = 2k); above that bound the witness is the
+lex-least full column of largest degree, and no graph is built.
+Otherwise the search is exact branch and bound with greedy-coloring
+upper bounds, seeded with the best star.  The proof of the optimum branches once per member orbit in every frame whose
 symmetry group is non-trivial: the group fixes the host's ground-set
 twin classes and the members chosen on the frame's path, and its orbits
 are split from the member columns.  The lex-least witness is
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .bounds import triple_transversal_bound
+from .bounds import hm_bound, triple_transversal_bound
 from .enumeration import intersection_adjacency
 from .famcore import Family, member_columns, twin_classes
 from .generators import ConstraintSpec, consecutive_blocks, gen_constrained
@@ -44,17 +47,35 @@ def max_intersecting_subfamily(
 
     The host's member columns (:func:`famcore.member_columns`) are built
     once (check_ekr_property passes the ones it built as _cols); the
-    intersection graph, the best star and the twin classes
+    best star, the intersection graph and the twin classes
     (:func:`famcore.twin_classes`) come from them.
 
-    The optimum omega is proved by one clique search that branches once
+    The best star is compared with hm = :func:`bounds.hm_bound` first.
+    For n > 2k every non-trivial intersecting family of k-sets has at
+    most hm members (Hilton-Milner); at n = 2k, hm is C(2k-1, k-1), the
+    EKR bound on every intersecting family.  Three regimes follow:
+
+    * n > 2k and star > hm: every omega-clique is trivial, so it lies in
+      one column and, with star members, is a full column of largest
+      degree.  omega is the star and the witness is the lex-least such
+      column (columns compare as sorted index tuples: A < B iff the
+      lowest bit of A ^ B is in A).  No graph is built and no search
+      runs.  The witness is checked to have star members, all holding
+      the column's element.
+    * star == hm (n > 2k), or the star meets the EKR bound (n = 2k): no
+      clique beats the star, so omega is the star without a proof, and
+      the witness is rebuilt as below, since a non-trivial optimum may
+      be lex-smaller than every star.
+    * Otherwise (below the bound, or n < 2k) omega is proved by search.
+
+    The proof of omega is one clique search that branches once
     per member orbit in every frame with a non-trivial group: the
     permutations of [n] that fix each twin class and each member chosen
     on the frame's path (see :func:`_kernels.max_clique_size`).  The
     whole vertex set is a union of orbits, as that search requires.
 
     The witness is the lexicographically least optimum (smallest sorted
-    member tuple).  It is built greedily: visiting vertices in ascending
+    member tuple).  Outside the first regime it is built greedily: visiting vertices in ascending
     order, v joins the chosen ones exactly when some omega-clique
     contains them all and v.
 
@@ -86,13 +107,30 @@ def max_intersecting_subfamily(
         )
     if nv == 0:
         return 0, host
-    cols = member_columns(host.n, host.members) if _cols is None else _cols
-    adj = intersection_adjacency(host.members, cols=cols)
+    n, k = host.n, host.k
+    cols = member_columns(n, host.members) if _cols is None else _cols
     star, center = _best_star(cols)
+    # a star that reaches hm is an optimum (the regimes above)
+    hm = hm_bound(n, k) if n >= 2 * k else None
+    if n > 2 * k and star > hm:
+        # c precedes best as a sorted index tuple when the lowest bit of
+        # c ^ best is in c
+        best = x = 0
+        for e, c in enumerate(cols):
+            if c.bit_count() == star and (not best or (c ^ best) & -(c ^ best) & c):
+                best, x = c, e
+        witness = _subfamily(host, best)
+        if len(witness) != star or any(not m >> x & 1 for m in witness.members):
+            raise AssertionError("witness reconstruction failed")
+        return star, witness
+    adj = intersection_adjacency(host.members, cols=cols)
     full = (1 << nv) - 1
-    omega = _kernels.max_clique_size(
-        adj, nv, full, star, (host.members, cols, twin_classes(host, cols=cols))
-    )
+    if star == hm:
+        omega = star
+    else:
+        omega = _kernels.max_clique_size(
+            adj, nv, full, star, (host.members, cols, twin_classes(host, cols=cols))
+        )
     cert = cols[center - 1] if omega == star else 0
     chosen = 0
     cand = full
@@ -128,10 +166,14 @@ def max_intersecting_subfamily(
         chosen & ~adj[i] != 1 << i for i in range(nv) if chosen >> i & 1
     ):
         raise AssertionError("witness reconstruction failed")
-    witness = Family(
-        host.n, host.k, tuple(m for i, m in enumerate(host.members) if chosen >> i & 1)
+    return omega, _subfamily(host, chosen)
+
+
+def _subfamily(host: Family, mask: int) -> Family:
+    """The members of host whose indices are the set bits of mask."""
+    return Family(
+        host.n, host.k, tuple(m for i, m in enumerate(host.members) if mask >> i & 1)
     )
-    return omega, witness
 
 
 @dataclass(frozen=True)

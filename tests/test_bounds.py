@@ -54,7 +54,11 @@ def test_hm_bound():
     for k in range(2, 6):
         n = 2 * k + 1
         assert hm_bound(n, k) == ekr_bound(n, k) - binom(k, k - 1) + 1
-    for n, k in ((3, 5), (4, 0), (5, -1)):
+        # at n = 2k the value is the EKR bound, met by a star
+        assert hm_bound(2 * k, k) == ekr_bound(2 * k, k)
+    # below 2k all k-sets meet: the ten 3-sets of [5] are a non-trivial
+    # intersecting family, so no value is a bound there
+    for n, k in ((3, 5), (4, 0), (5, -1), (5, 3), (4, 3)):
         with pytest.raises(ValueError):
             hm_bound(n, k)
 
@@ -129,6 +133,7 @@ def test_hk_gap_constant():
         ("hm-min-degree", hm_min_degree, {"n": 9, "k": -4}),
         ("matching-threshold", matching_threshold, {"n": 4, "k": 7, "s": 1}),
         ("frankl-wilson", frankl_wilson_bound, {"n": 3, "k": 5, "t": 2}),
+        ("hm", hm_bound, {"n": 5, "k": 3}),
     ],
 )
 def test_closed_forms_refuse_k_outside_1_n(name, fn, args, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -12,10 +13,12 @@ from setfam.generators import (
     ConstraintSpec,
     HMSpec,
     format_constraint_spec,
+    gen_complete,
     gen_full_star,
     gen_hm,
     gen_meets_front,
 )
+from setfam.search import make_triple_blocks
 
 
 def run(capsys, *argv):
@@ -401,6 +404,48 @@ def test_report_bytes_pinned(capsys, argv, digest):
     # digests of the reports as the suites have always printed them
     code, out, _ = run(capsys, *argv)
     assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def relabelled(fam, seed):
+    perm = list(range(fam.n))
+    random.Random(seed).shuffle(perm)
+    return famcore.family(
+        fam.n, fam.k, (sum(1 << perm[i] for i in range(fam.n) if m >> i & 1) for m in fam.members)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        # omega settled by a star above the Hilton-Milner bound
+        ("complete-9-4", "70979e000be1bc288bc6ab1885bbdf1ec67c67dc484147ffc7632e1a081293c0"),
+        ("star-14-4-seed-1", "5d8b005f1df6b28164ff99ce54f87435e8210181dc2086b55ba3cf474b9aa6cf"),
+        # a star at the bound, with a non-trivial optimum that is lex-least
+        ("hm-7-3-plus-156", "654d277127a854090e898fca28e9350d0de98b008dea54ae8c3de0e53ffe4cd7"),
+    ],
+)
+def test_search_bytes_pinned(tmp_path, capsys, name, digest):
+    hosts = {
+        "complete-9-4": lambda: gen_complete(9, 4),
+        "star-14-4-seed-1": lambda: relabelled(gen_full_star(14, 4, 1), 1),
+        "hm-7-3-plus-156": lambda: famcore.family(
+            7, 3, gen_hm(HMSpec.standard(7, 3)).members + (kset((1, 5, 6)),)
+        ),
+    }
+    path = tmp_path / f"{name}.fam"
+    path.write_text(famcore.format_fam(hosts[name]()))
+    code, out, _ = run(capsys, "search", "max-intersecting", "--host", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_search_ekr_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "triple.spec"
+    path.write_text(format_constraint_spec(make_triple_blocks(12, 4)))
+    code, out, _ = run(capsys, "search", "ekr", "--spec", str(path), "--k", "4")
+    assert code == 0
+    digest = "de7e69a65f1d379310cfbc34aeb8f9b14c5f8693a891d74ad732d15a3a9e0430"
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 

@@ -1,14 +1,26 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from conftest import nx_lex_least_max_clique, nx_max_clique_size
+from test_kernels import random_block_host
 from setfam import _kernels, search
 from setfam.bounds import binom
 from setfam.enumeration import intersection_adjacency
-from setfam.famcore import Family, all_ksets, family, is_intersecting, is_trivial, kset
+from setfam.famcore import (
+    Family,
+    all_ksets,
+    family,
+    is_intersecting,
+    is_trivial,
+    kset,
+    member_columns,
+    twin_classes,
+)
 from setfam.generators import (
     ConstraintSpec,
     HMSpec,
@@ -45,22 +57,26 @@ def test_ekr_on_complete_families():
 
 
 def test_max_clique_against_networkx():
+    # both hosts are above the HM bound; the kernel's proof, which that
+    # bound skips, is checked too
     for host in (gen_complete(7, 3), gen_complete(6, 2)):
         adj = intersection_adjacency(host.members)
         size, _ = max_intersecting_subfamily(host)
-        assert size == nx_max_clique_size(adj, len(host))
+        assert size == orbital_omega(host) == nx_max_clique_size(adj, len(host))
 
 
 def test_witness_self_check(monkeypatch):
-    # a kernel reporting one more than the optimum: no omega-clique exists
+    # a kernel reporting one more than the optimum: no omega-clique exists.
+    # All 3-sets of [5] meet, so no bound settles omega and the kernel runs
     real = _kernels.max_clique_size
     monkeypatch.setattr(_kernels, "max_clique_size", lambda *args: real(*args) + 1)
     with pytest.raises(AssertionError, match="witness reconstruction failed"):
-        max_intersecting_subfamily(gen_complete(6, 2))
+        max_intersecting_subfamily(gen_complete(5, 3))
     monkeypatch.undo()
 
-    # a graph in which member 3 does not see member 0: the star certificate
-    # takes all four members, which are then no clique of the graph
+    # a graph in which member 3 does not see member 0: at n = 2k the star
+    # reaches the EKR bound, the witness loop runs, and the star certificate
+    # takes all ten members, which are then no clique of the graph
     def one_sided(members, t=1, *, cols=None):
         adj = intersection_adjacency(members, t, cols=cols)
         adj[3] &= ~1
@@ -68,7 +84,20 @@ def test_witness_self_check(monkeypatch):
 
     monkeypatch.setattr(search, "intersection_adjacency", one_sided)
     with pytest.raises(AssertionError, match="witness reconstruction failed"):
-        max_intersecting_subfamily(gen_full_star(5, 2, 1))
+        max_intersecting_subfamily(gen_full_star(6, 3, 1))
+    monkeypatch.undo()
+
+    # a column of element 1 that swaps its last member for one without 1:
+    # the star above the HM bound is cut to that column, which is no star
+    def swapped(n, members):
+        cols = member_columns(n, members)
+        outside = next(i for i, m in enumerate(members) if not m & 1)
+        cols[0] ^= 1 << cols[0].bit_length() - 1 | 1 << outside
+        return cols
+
+    monkeypatch.setattr(search, "member_columns", swapped)
+    with pytest.raises(AssertionError, match="witness reconstruction failed"):
+        max_intersecting_subfamily(gen_complete(6, 2))
 
 
 def test_witness_is_lex_least():
@@ -131,18 +160,49 @@ def oracle_hosts(count, seed):
     return hosts
 
 
+def star_regime(host):
+    """Where the best star stands against the bound on non-trivial
+    intersecting families: the Hilton-Milner bound for n > 2k, the EKR
+    bound at n = 2k."""
+    n, k = host.n, host.k
+    star = max_star_size(host)[0]
+    if n > 2 * k:
+        hm = comb(n - 1, k - 1) - comb(n - k - 1, k - 1) + 1
+        return "above" if star > hm else "at-hm" if star == hm else "below"
+    if n == 2 * k and star == comb(n - 1, k - 1):
+        return "at-ekr"
+    return "below"
+
+
 def test_witness_matches_lex_least_oracle():
     hosts = oracle_hosts(160, seed=9)
     above_star = 0
+    regimes = Counter()
     for host in hosts:
         want = nx_lex_least_max_clique(intersection_adjacency(host.members), len(host))
         size, witness = max_intersecting_subfamily(host)
         assert size == len(want)
         assert witness.members == tuple(host.members[i] for i in want)
         above_star += size > max_star_size(host)[0]
+        regimes[star_regime(host)] += 1
     # both starts are exercised: hosts whose best star is an optimum, and
     # hosts where every star falls short
     assert min(above_star, len(hosts) - above_star) >= 30
+    # and every way the best star settles omega, or does not
+    assert set(regimes) == {"above", "at-hm", "at-ekr", "below"}
+
+
+def test_star_at_hm_bound_with_a_non_trivial_optimum():
+    # HM(7,3) (x = 1, S = {2,3,4}) plus {1,5,6}: the star at 1 has
+    # hm(7,3) = 13 members, and so does HM(7,3) itself, which holds S
+    hm = gen_hm(HMSpec.standard(7, 3))
+    host = family(7, 3, hm.members + (kset((1, 5, 6)),))
+    assert star_regime(host) == "at-hm" and max_star_size(host) == (13, 1)
+    want = nx_lex_least_max_clique(intersection_adjacency(host.members), len(host))
+    size, witness = max_intersecting_subfamily(host)
+    assert size == len(want) == 13
+    assert witness.members == tuple(host.members[i] for i in want)
+    assert witness == hm and is_trivial(witness) is None
 
 
 def test_intersecting_host_returns_itself():
@@ -172,18 +232,126 @@ def test_relabelled_three_block_host():
     assert set(witness.members) <= set(host.members)
 
 
+def orbital_omega(host):
+    """The kernel's omega proof on the whole host, seeded with the best
+    star and given the host's symmetry, with no bound cutting it short."""
+    cols = member_columns(host.n, host.members)
+    adj = intersection_adjacency(host.members, cols=cols)
+    nv = len(host)
+    star = max_star_size(host)[0]
+    return _kernels.max_clique_size(
+        adj, nv, (1 << nv) - 1, star, (host.members, cols, twin_classes(host, cols=cols))
+    )
+
+
 def test_complete_10_4_omega():
-    size, witness = max_intersecting_subfamily(gen_complete(10, 4))
+    host = gen_complete(10, 4)
+    size, witness = max_intersecting_subfamily(host)
     assert size == comb(9, 3) == 84
     assert len(witness) == 84 and is_intersecting(witness)
+    assert orbital_omega(host) == 84
 
 
 def test_complete_9_4_omega():
-    # vertex-transitive, so no vertex order helps; the proof of omega
-    # branches once per orbit of the stabiliser of the chosen members
-    size, witness = max_intersecting_subfamily(gen_complete(9, 4))
+    # vertex-transitive, so no vertex order helps; the kernel's proof of
+    # omega branches once per orbit of the stabiliser of the chosen members
+    host = gen_complete(9, 4)
+    size, witness = max_intersecting_subfamily(host)
     assert size == comb(8, 3) == 56
     assert witness == gen_full_star(9, 4, 1)
+    assert orbital_omega(host) == 56
+
+
+def lex_least_full_column(host, degree):
+    """The least sorted index tuple among the member columns of the given
+    degree."""
+    cols = (
+        tuple(i for i, m in enumerate(host.members) if m >> e & 1) for e in range(host.n)
+    )
+    return min(c for c in cols if len(c) == degree)
+
+
+def timed_search(host):
+    t0 = time.perf_counter()
+    result = max_intersecting_subfamily(host)
+    return result, time.perf_counter() - t0
+
+
+def test_cut_witness_is_the_lex_least_column():
+    # stars at 1 and at 2 of four pairs each, above hm(7,2) = 3; the least
+    # member {2,3} holds 2, so the star at 2 is lex-least, not the one at 1
+    host = family(
+        7, 2, [(2, 3), (2, 4), (2, 5), (2, 6), (1, 4), (1, 5), (1, 6), (1, 7)]
+    )
+    assert star_regime(host) == "above" and max_star_size(host) == (4, 1)
+    want = nx_lex_least_max_clique(intersection_adjacency(host.members), len(host))
+    size, witness = max_intersecting_subfamily(host)
+    assert size == 4
+    assert witness.members == tuple(host.members[i] for i in want)
+    assert witness == family(7, 2, [(2, 3), (2, 4), (2, 5), (2, 6)])
+
+
+def test_bound_settles_omega_without_the_proof(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched")
+
+    # above the bound nothing is built or searched
+    with monkeypatch.context() as m:
+        m.setattr(search, "intersection_adjacency", refuse)
+        m.setattr(search, "twin_classes", refuse)
+        m.setattr(_kernels, "max_clique_size", refuse)
+        assert max_intersecting_subfamily(gen_complete(9, 4)) == (56, gen_full_star(9, 4, 1))
+
+    # at the bound the witness may still search, but omega is not proved:
+    # no call gets the host's symmetry
+    real = _kernels.max_clique_size
+    calls = []
+
+    def recording(*args):
+        calls.append(len(args))
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "max_clique_size", recording)
+    hm = gen_hm(HMSpec.standard(7, 3))
+    at_hm = family(7, 3, hm.members + (kset((1, 5, 6)),))
+    for host, size in ((at_hm, 13), (gen_complete(8, 4), 35), (gen_full_star(6, 3, 1), 10)):
+        assert star_regime(host) in ("at-hm", "at-ekr")
+        assert max_intersecting_subfamily(host)[0] == size
+    assert 5 not in calls
+
+
+def test_block_host_stalls_end_at_the_hm_bound():
+    # draws 238 and 396 (counted from 1) of this generator are (9,4) hosts
+    # whose omega proofs once ran for 33 s and past 100 s: few small twin
+    # classes.  A star of C(8,3) = 56 members meets the EKR bound, so
+    # omega = 56, and 56 > hm(9,4) = 53, so every optimum is a full column
+    rng = random.Random(3)
+    draws = []
+    for _ in range(396):
+        n = rng.randint(3, 9)
+        draws.append(random_block_host(rng, n, rng.randint(1, min(4, n))))
+    for host, members in ((draws[237], 123), (draws[395], 101)):
+        assert (host.n, host.k, len(host)) == (9, 4, members)
+        assert max_star_size(host)[0] == comb(8, 3) == 56
+        (size, witness), elapsed = timed_search(host)
+        assert size == 56
+        best = lex_least_full_column(host, 56)
+        assert witness.members == tuple(host.members[i] for i in best)
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("seed, star", [(1, 103), (3, 102)])
+def test_twin_less_stalls_end_above_the_hm_bound(seed, star):
+    # no twin classes, so the kernel has no symmetry to branch on; its
+    # omega proof took 10-30 s.  The best star beats hm(11,4) = 101, so
+    # every non-trivial clique is smaller and omega is the star
+    host = family(11, 4, random.Random(seed).sample(all_ksets(11, 4), 260))
+    assert max_star_size(host)[0] == star > comb(10, 3) - comb(6, 3) + 1 == 101
+    (size, witness), elapsed = timed_search(host)
+    assert size == star
+    best = lex_least_full_column(host, star)
+    assert witness.members == tuple(host.members[i] for i in best)
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
 def test_member_cap():
