@@ -143,73 +143,75 @@ def partition_spec(sizes, quotas) -> generators.ConstraintSpec:
 
 
 def suite_prop_k3(n: int) -> VerificationReport:
-    """The k = 3 landscape: enumerate all maximal intersecting 3-uniform
-    families on [n] (n in {7, 8, 9}), reduce to isomorphism classes, and
-    check the class count and every size/degree bound class by class."""
+    """The k = 3 landscape: all maximal intersecting 3-uniform families on
+    [n] (n in {7, 8, 9}), reduced to isomorphism classes through the
+    families containing {1, 2, 3} (``enumeration.landscape_classes``), and
+    the class count and every size/degree bound checked class by class."""
     if not 7 <= n <= 9:
         raise ValueError(f"prop-k3 suite supports n in {{7, 8, 9}}, got {n}")
     t0 = time.perf_counter()
-    classes = enumeration.iso_classes(enumeration.enumerate_maximal_intersecting(n, 3))
+    # built by the first row that needs it; a crash in it fails every row
+    classes = functools.cache(lambda: enumeration.landscape_classes(n, 3))
     star_bound = bounds.ekr_bound(n, 3)
     hm_b = bounds.hm_bound(n, 3)
     hm_delta = bounds.hm_min_degree(n, 3)
-    nontrivial = [c for c in classes if not c.trivial]
-    top = [c for c in classes if c.size == star_bound]
-    deg_star = [c for c in classes if c.delta == n - 2]
+
+    def nontrivial():
+        return [c for c in classes() if not c.trivial]
+
+    def unique_star_class():
+        top = [c for c in classes() if c.size == star_bound]
+        return (
+            len(top) == 1 and top[0].trivial,
+            f"exactly one class of size {star_bound}, trivial",
+            [(c.size, c.trivial) for c in top],
+        )
+
+    def degree_ekr():
+        deg_star = [c for c in classes() if c.delta == n - 2]
+        return (
+            all(c.delta <= n - 2 for c in classes()) and len(deg_star) == 1 and deg_star[0].trivial,
+            f"delta <= {n - 2} everywhere, equality only at the full star",
+            [(c.delta, c.trivial) for c in deg_star],
+        )
 
     rows = [
-        ("class-count", lambda: _equals(15, len(classes))),
+        ("class-count", lambda: _equals(15, len(classes()))),
         (
             "ekr-size-bound",
             lambda: (
-                all(c.size <= star_bound for c in classes),
+                all(c.size <= star_bound for c in classes()),
                 f"all class sizes <= {star_bound}",
-                max(c.size for c in classes),
+                max(c.size for c in classes()),
             ),
         ),
-        (
-            "unique-star-class",
-            lambda: (
-                len(top) == 1 and top[0].trivial,
-                f"exactly one class of size {star_bound}, trivial",
-                [(c.size, c.trivial) for c in top],
-            ),
-        ),
+        ("unique-star-class", unique_star_class),
         (
             "hm-size-bound",
             lambda: (
-                all(c.size <= hm_b for c in nontrivial),
+                all(c.size <= hm_b for c in nontrivial()),
                 f"non-trivial sizes <= {hm_b}",
-                max((c.size for c in nontrivial), default=0),
+                max((c.size for c in nontrivial()), default=0),
             ),
         ),
         (
             "hm-class-present",
             lambda: (
-                any(c.size == hm_b and c.delta == hm_delta for c in nontrivial),
+                any(c.size == hm_b and c.delta == hm_delta for c in nontrivial()),
                 f"a non-trivial class of size {hm_b} with delta {hm_delta}",
-                sorted({(c.size, c.delta) for c in nontrivial}, reverse=True)[:3],
+                sorted({(c.size, c.delta) for c in nontrivial()}, reverse=True)[:3],
             ),
         ),
         (
             "min-degree-bound",
             lambda: (
-                all(c.delta <= hm_delta for c in nontrivial),
+                all(c.delta <= hm_delta for c in nontrivial()),
                 f"delta <= {hm_delta} on non-trivial classes",
-                max((c.delta for c in nontrivial), default=0),
+                max((c.delta for c in nontrivial()), default=0),
             ),
         ),
-        (
-            "degree-ekr",
-            lambda: (
-                all(c.delta <= n - 2 for c in classes)
-                and len(deg_star) == 1
-                and deg_star[0].trivial,
-                f"delta <= {n - 2} everywhere, equality only at the full star",
-                [(c.delta, c.trivial) for c in deg_star],
-            ),
-        ),
-        ("labeled-total", lambda: (True, "recorded", sum(c.labeled_count for c in classes))),
+        ("degree-ekr", degree_ekr),
+        ("labeled-total", lambda: (True, "recorded", sum(c.labeled_count for c in classes()))),
     ]
     checks = _run_tasks(rows)
     elapsed = int((time.perf_counter() - t0) * 1000)
@@ -262,16 +264,18 @@ def _matching(n, k, s) -> tuple:
     )
 
 
-def _kernel_scan(fams) -> tuple[bool, int, int, int]:
+def _kernel_scan(counts) -> tuple[bool, int, int, int]:
     """(K_1 is empty exactly for the non-trivial families, number of
     families whose size-<=k kernel is not pairwise intersecting, max |K_3|,
-    number of families) over intersecting families, any iterable of them.
-    One kernel and one triviality test per degree-order encode
-    (``enumeration.encode_counts``), a relabelled copy of every family it
-    counts: all four facts are relabelling invariants (K(pF) = pK(F)), so
-    a violation counts once per family."""
+    number of families) over intersecting families, given as a mapping
+    from (n, k, degree-order encode) to how many families it stands for
+    (``enumeration.encode_counts``, or the weights of
+    ``enumeration.landscape_counts``).  One kernel and one triviality test
+    per encode, a relabelled copy of every family it counts: all four facts
+    are relabelling invariants (K(pF) = pK(F)), so a violation counts once
+    per family."""
     k1_ok, bad, worst, total = True, 0, 0, 0
-    for (n, k, enc), count in enumeration.encode_counts(fams).items():
+    for (n, k, enc), count in counts.items():
         fam = famcore.Family(n, k, enc)
         kern = covers.kernel(fam)
         cvs = kern.all_covers()
@@ -279,7 +283,7 @@ def _kernel_scan(fams) -> tuple[bool, int, int, int]:
         bad += count * (not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :]))
         worst = max(worst, len(kern.layers[3]))
         total += count
-    return k1_ok, bad, worst, total
+    return k1_ok, enumeration.exact_int(bad), worst, enumeration.exact_int(total)
 
 
 def _kernel_hm93() -> tuple:
@@ -309,9 +313,9 @@ def suite_theorems(jobs: int = 1) -> VerificationReport:
     if jobs != 1:
         raise ValueError(f"suite_theorems runs serially; jobs must be 1, got {jobs}")
     t0 = time.perf_counter()
-    # the (7,3) landscape, streamed into one kernel scan that the three
-    # landscape checks share; a crash in it fails each of them
-    scan = functools.cache(lambda: _kernel_scan(enumeration.enumerate_maximal_intersecting(7, 3)))
+    # the (7,3) landscape, counted through one member into one kernel scan
+    # that the three landscape checks share; a crash in it fails each of them
+    scan = functools.cache(lambda: _kernel_scan(enumeration.landscape_counts(7, 3)))
     rows = [
         *_named(
             "triple-transversal",

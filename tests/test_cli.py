@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setfam import cli, covers, enumeration, famcore
+from setfam import _kernels, cli, covers, enumeration, famcore
 from setfam.famcore import kset, parse_fam
 from setfam.generators import (
     ConstraintSpec,
@@ -243,11 +243,13 @@ KERNEL_CHECKS = {
 
 
 def test_theorems_kernel_once_per_family(monkeypatch):
-    # one kernel per degree-order encode of the (7,3) families, shared by
-    # the three landscape checks, plus one for HM(9,3)
+    # one kernel per degree-order encode of the (7,3) families through
+    # {1, 2, 3}, shared by the three landscape checks, plus one for HM(9,3)
+    s0 = famcore.kset((1, 2, 3))
     encodes = {
         enumeration._degree_order_encode(f.n, f.members)
         for f in enumeration.enumerate_maximal_intersecting(7, 3)
+        if s0 in f.members
     }
     calls = []
     real = covers.kernel
@@ -259,7 +261,7 @@ def test_theorems_kernel_once_per_family(monkeypatch):
     monkeypatch.setattr(covers, "kernel", counted)
     report = cli.suite_theorems()
     assert report.passed
-    assert len(calls) == len(encodes) + 1 == 76
+    assert len(calls) == len(encodes) + 1 == 46
 
 
 def test_kernel_scan_matches_per_family_kernels():
@@ -273,7 +275,9 @@ def test_kernel_scan_matches_per_family_kernels():
         bad += not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :])
         worst = max(worst, len(kern.layers[3]))
     assert (k1_ok, bad, worst) == (True, 0, 10)
-    assert cli._kernel_scan(fams) == (k1_ok, bad, worst, 6127)
+    assert cli._kernel_scan(enumeration.encode_counts(fams)) == (k1_ok, bad, worst, 6127)
+    # counted through one member, weighted by C(7, 3)/|F|: the same facts
+    assert cli._kernel_scan(enumeration.landscape_counts(7, 3)) == (True, 0, 10, 6127)
 
 
 def test_kernel_scan_counts_violations_per_family():
@@ -282,7 +286,7 @@ def test_kernel_scan_counts_violations_per_family():
     fams = [famcore.family(7, 3, [t]) for t in ((1, 2, 3), (4, 5, 6), (2, 5, 7))]
     fams.append(famcore.family(7, 3, [(1, 2, 3), (1, 4, 5)]))
     assert len({enumeration._degree_order_encode(7, f.members) for f in fams}) == 2
-    assert cli._kernel_scan(fams) == (True, 4, 0, 4)
+    assert cli._kernel_scan(enumeration.encode_counts(fams)) == (True, 4, 0, 4)
 
 
 def test_kernel_scan_compares_k1_with_triviality(monkeypatch):
@@ -290,7 +294,7 @@ def test_kernel_scan_compares_k1_with_triviality(monkeypatch):
     # calls them non-trivial must make the K_1 fact fail
     fams = [famcore.family(7, 3, [(1, 2, 3)]), famcore.family(7, 3, [(1, 2, 3), (1, 4, 5)])]
     monkeypatch.setattr(famcore, "is_trivial", lambda fam: None)
-    assert cli._kernel_scan(fams)[0] is False
+    assert cli._kernel_scan(enumeration.encode_counts(fams))[0] is False
 
 
 THEOREMS_CHECKS = [
@@ -363,21 +367,37 @@ def test_theorems_crash_keeps_the_row_name(monkeypatch):
     assert all(c.actual == "error: RuntimeError: no host" and c.expected is None for c in failed)
 
 
+PROP_K3_CHECKS = [
+    "class-count",
+    "ekr-size-bound",
+    "unique-star-class",
+    "hm-size-bound",
+    "hm-class-present",
+    "min-degree-bound",
+    "degree-ekr",
+    "labeled-total",
+]
+
+
+def test_prop_k3_landscape_crash_fails_every_check(capsys, monkeypatch):
+    # a crash while the classes are built fails each check by name, exit 1
+    def broken(*a, **kw):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(_kernels, "canonical_min", broken)
+    code, out, err = run(capsys, "verify", "--suite", "prop-k3", "--n", "7", "--json", "--no-timing")
+    assert code == 1 and err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == PROP_K3_CHECKS
+    assert all(c["status"] == "fail" and c["actual"] == "error: RuntimeError: boom" for c in checks)
+
+
 def test_prop_k3_crash_fails_only_its_check(monkeypatch):
     # delta <= None raises inside min-degree-bound; the other checks still run
     monkeypatch.setattr(cli.bounds, "hm_min_degree", lambda n, k: None)
     report = cli.suite_prop_k3(7)
     status = {c.name: c.status for c in report.checks}
-    assert list(status) == [
-        "class-count",
-        "ekr-size-bound",
-        "unique-star-class",
-        "hm-size-bound",
-        "hm-class-present",
-        "min-degree-bound",
-        "degree-ekr",
-        "labeled-total",
-    ]
+    assert list(status) == PROP_K3_CHECKS
     assert {n for n, st in status.items() if st == "fail"} == {"hm-class-present", "min-degree-bound"}
     crashed = report.checks[5]
     assert crashed.expected is None and crashed.actual.startswith("error: TypeError: ")

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -131,6 +132,61 @@ def test_8_3_fifteen_classes():
     classes = iso_classes(enumerate_maximal_intersecting(8, 3))
     assert len(classes) == 15
     assert max(c.size for c in classes) == 21  # the full star on [8]
+
+
+@pytest.mark.parametrize(
+    "n, k, total",
+    [(3, 1, 3), (5, 2, 15), (6, 2, 26), (7, 2, 42), (8, 2, 64), (7, 3, 6127), (8, 3, 23936)],
+)
+def test_landscape_classes_against_the_labelled_path(n, k, total):
+    # counted through [k] with weights C(n, k)/|F|: the same classes, in
+    # the same order, with the same int labeled counts, as every family
+    want = iso_classes(enumerate_maximal_intersecting(n, k))
+    got = enumeration.landscape_classes(n, k)
+    assert got == want
+    assert all(type(c.labeled_count) is int for c in got)
+    assert sum(c.labeled_count for c in got) == total
+
+
+def test_landscape_counts_enumerates_only_the_families_through_k():
+    # (7,3): 1860 of the 6127 families contain {1, 2, 3}, in 45 encodes
+    s0 = kset((1, 2, 3))
+    through = [f for f in enumerate_maximal_intersecting(7, 3) if s0 in f.members]
+    assert len(through) == 1860
+    counts = enumeration.landscape_counts(7, 3)
+    assert counts == {
+        key: Fraction(count * 35, len(key[2]))
+        for key, count in enumeration.encode_counts(through).items()
+    }
+    assert len(counts) == 45 and sum(counts.values()) == 6127
+
+
+@pytest.mark.parametrize(
+    "n, k, error, match",
+    [
+        (6, 3, UnsupportedRegimeError, "n > 2k"),
+        (4, 2, UnsupportedRegimeError, "n > 2k"),
+        (11, 3, ValueError, "exact canonical mode"),
+        (1, 1, ValueError, "2 <= n"),
+        (7, 0, ValueError, "1 <= k"),
+    ],
+)
+def test_landscape_refuses_before_any_kset(monkeypatch, n, k, error, match):
+    def never(n, k):
+        raise AssertionError("k-sets built for a refused landscape")
+
+    monkeypatch.setattr(enumeration, "all_ksets", never)
+    for build in (enumeration.landscape_counts, enumeration.landscape_classes):
+        with pytest.raises(error, match=match):
+            build(n, k)
+
+
+def test_class_totals_must_be_whole():
+    enc = gen_full_star(7, 3, 1).members
+    with pytest.raises(ValueError, match="whole"):
+        enumeration._classes({(7, 3, enc): Fraction(7, 2)})
+    (star,) = enumeration._classes({(7, 3, enc): Fraction(14, 2)})
+    assert star.labeled_count == 7 and type(star.labeled_count) is int
 
 
 def test_canonical_members_symmetries():
