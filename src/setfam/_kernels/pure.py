@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..famcore import _twin_classes
+
 
 def maximal_cliques(adj, nv: int) -> Iterator[int]:
     """Yield every maximal clique as a vertex bitmask (Bron-Kerbosch,
@@ -248,6 +250,16 @@ def canonical_min(n: int, members, *, known=frozenset()) -> tuple[int, ...]:
     is isomorphic to the known one, whose least relabeling is that leaf.
     When the family's class is not in known no leaf is, and the search
     runs to the end as without it.
+
+    Twins (famcore.twin_classes) are branched on once per class: a node
+    gives label p to one unassigned element of each class, not to all of
+    them.  For unassigned twins a and b, every relabeling through the
+    child that labels a is pi, one through the child that labels b is
+    pi o (a b), which agrees with pi on every assigned element and maps
+    the family to the same relabeled tuple, since (a b) is an
+    automorphism.  So the two subtrees hold the same leaves, and the
+    least leaf and the first leaf in known are unchanged.  Duplicate
+    members turn this off (the twin test reads the member set).
     """
     ms = list(members)
     m = len(ms)
@@ -266,6 +278,16 @@ def canonical_min(n: int, members, *, known=frozenset()) -> tuple[int, ...]:
     best = None
     # member indices containing each support element
     cols = {e: [i for i in range(m) if ms[i] >> e & 1] for e in sup}
+    # twin[e]: the twin class of e as an element mask, for each support
+    # element whose class holds another one
+    twin = {}
+    if len(set(ms)) == m:
+        for c in _twin_classes(support.bit_length(), ms):
+            c &= support
+            if c & (c - 1):
+                for e in sup:
+                    if c >> e & 1:
+                        twin[e] = c
 
     def rec(t, j, p, unassigned, low) -> bool:
         # low is this node's sorted lower-bound list (computed by the
@@ -284,7 +306,15 @@ def canonical_min(n: int, members, *, known=frozenset()) -> tuple[int, ...]:
         hit = [t[i] | ones[i] << p for i in range(m)]
         miss = [t[i] | ones[i] << shift for i in range(m)]
         kids = []
-        for e in unassigned:
+        firsts = unassigned
+        if twin:
+            # the first unassigned element of each twin class
+            firsts, taken = [], 0
+            for e in unassigned:
+                if not taken >> e & 1:
+                    firsts.append(e)
+                    taken |= twin.get(e, 0)
+        for e in firsts:
             key = miss.copy()
             for i in cols[e]:
                 key[i] = hit[i]

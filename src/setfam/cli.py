@@ -107,6 +107,26 @@ def _run_tasks(rows) -> list[Check]:
     return checks
 
 
+def _once(build):
+    """A function that runs build() on its first call and then returns its
+    result, or re-raises its exception, on every call: a shared input
+    that fails is built once, not once per check that reads it."""
+    memo = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((True, build()))
+            except Exception as e:
+                memo.append((False, e))
+        ok, value = memo[0]
+        if not ok:
+            raise value
+        return value
+
+    return get
+
+
 def _equals(expected, actual) -> tuple:
     return expected == actual, expected, actual
 
@@ -151,7 +171,7 @@ def suite_prop_k3(n: int) -> VerificationReport:
         raise ValueError(f"prop-k3 suite supports n in {{7, 8, 9}}, got {n}")
     t0 = time.perf_counter()
     # built by the first row that needs it; a crash in it fails every row
-    classes = functools.cache(lambda: enumeration.landscape_classes(n, 3))
+    classes = _once(lambda: enumeration.landscape_classes(n, 3))
     star_bound = bounds.ekr_bound(n, 3)
     hm_b = bounds.hm_bound(n, 3)
     hm_delta = bounds.hm_min_degree(n, 3)
@@ -315,7 +335,7 @@ def suite_theorems(jobs: int = 1) -> VerificationReport:
     t0 = time.perf_counter()
     # the (7,3) landscape, counted through one member into one kernel scan
     # that the three landscape checks share; a crash in it fails each of them
-    scan = functools.cache(lambda: _kernel_scan(enumeration.landscape_counts(7, 3)))
+    scan = _once(lambda: _kernel_scan(enumeration.landscape_counts(7, 3)))
     rows = [
         *_named(
             "triple-transversal",

@@ -36,6 +36,9 @@ from .famcore import MAX_GROUND, Family, all_ksets, degree_profile, is_trivial, 
 
 EXACT_CANONICAL_MAX_N = 10
 
+_SLICE = 6  # ground-set elements per lookup table of intersection_adjacency
+_SLICE_MASK = (1 << _SLICE) - 1
+
 
 class UnsupportedRegimeError(ValueError):
     """Raised for parameter regimes the enumerator refuses (n <= 2k)."""
@@ -49,15 +52,31 @@ def intersection_adjacency(members, t: int = 1, *, cols=None) -> list[int]:
     ground set the largest mask spans unless the caller passes cols): the
     members sharing t elements with member i are the OR, over the t-subsets
     of its elements, of the AND of their columns; for t = 1, the OR of its
-    elements' columns.  Member i itself is then dropped.  That is m * C(k, t)
-    big-int operations instead of m(m-1)/2 pair tests.  For t <= 0 every
-    two distinct members are adjacent."""
+    elements' columns.  Member i itself is then dropped.  For t <= 0 every
+    two distinct members are adjacent.
+
+    For t = 1 the ground set is cut into slices of 6 elements, and each
+    slice gets a 64-entry table: entry b is the OR of the columns of the
+    slice's elements in b, built as tab[b] = tab[b ^ low] | column of
+    low, where low is the lowest bit of b.  A member's neighbourhood is
+    then one lookup per slice, and each slice is one pass over the
+    members.  For t >= 2 each member ORs the ANDs of its elements'
+    columns, m * C(k, t) big-int operations."""
     ms = list(members)
     nv = len(ms)
     if t <= 0:
         return [((1 << nv) - 1) ^ (1 << i) for i in range(nv)]
     if cols is None:
         cols = member_columns(max(ms, default=0).bit_length(), ms)
+    if t == 1:
+        nb = [0] * nv
+        for s in range(0, len(cols), _SLICE):
+            tab = [0]
+            for b in range(1, 1 << min(_SLICE, len(cols) - s)):
+                low = b & -b
+                tab.append(tab[b ^ low] | cols[s + low.bit_length() - 1])
+            nb = [a | tab[v >> s & _SLICE_MASK] for a, v in zip(nb, ms)]
+        return [a & ~(1 << i) for i, a in enumerate(nb)]
     adj = []
     for i, v in enumerate(ms):
         own = []  # the columns of member i's elements
@@ -66,12 +85,8 @@ def intersection_adjacency(members, t: int = 1, *, cols=None) -> list[int]:
             v ^= b
             own.append(cols[b.bit_length() - 1])
         nb = 0
-        if t == 1:
-            for c in own:
-                nb |= c
-        else:
-            for sub in combinations(own, t):
-                nb |= reduce(and_, sub)
+        for sub in combinations(own, t):
+            nb |= reduce(and_, sub)
         adj.append(nb & ~(1 << i))
     return adj
 

@@ -9,6 +9,8 @@ hash by value.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -114,18 +116,52 @@ def degree(fam: Family, x: int) -> int:
     return sum(1 for m in fam.members if m & b)
 
 
+# The four swap rounds of a 16 x 16 bit-matrix transpose (Hacker's
+# Delight, section 7-3), as (shift, mask) with the 256-bit block mask
+# in little-endian bytes.  Row r of a block is its bits 16r .. 16r + 15,
+# and round s swaps bit (r, c) with (r + s, c - s) wherever r & s == 0
+# and c & s != 0, a distance of 15s bits.
+_TRANSPOSE_ROUNDS = tuple(
+    (15 * s, mask.to_bytes(32, "little"))
+    for s, mask in (
+        (8, 0xFF00FF00FF00FF00FF00FF00FF00FF00),
+        (4, 0xF0F0F0F0F0F0F0F00000000000000000F0F0F0F0F0F0F0F0),
+        (2, 0xCCCCCCCC00000000CCCCCCCC00000000CCCCCCCC00000000CCCCCCCC),
+        (1, 0xAAAA0000AAAA0000AAAA0000AAAA0000AAAA0000AAAA0000AAAA0000AAAA),
+    )
+)
+
+
 def member_columns(n: int, members) -> list[int]:
     """cols[e]: the mask of the indices i (positions in members) whose
     member holds element e + 1, for e in range(n).  The popcount of a
     column is a degree, and the columns of a member's elements together
-    hold every member that meets it."""
-    cols = [0] * n
-    for i, v in enumerate(members):
-        bit = 1 << i
-        while v:
-            b = v & -v
-            v ^= b
-            cols[b.bit_length() - 1] |= bit
+    hold every member that meets it.  Bits at n and above are ignored.
+
+    A bit-matrix transpose: the members, packed as little-endian 64-bit
+    words, are read as four 16-bit lanes each, so lane q of every member
+    is the strided view words[q::4], the m x 16 bit matrix of the
+    elements 16q + 1 .. 16q + 16.  That matrix, one int holding member i
+    at bits 16i .. 16i + 15, is transposed in 16 x 16 blocks, all blocks
+    at once, by four masked swap rounds; afterwards the 16 bits at
+    block b, row c hold members 16b .. 16b + 15 of column 16q + c, so
+    column c is the strided view rows[c::16]."""
+    ms = array("Q", members)
+    if not ms:
+        return [0] * n
+    if sys.byteorder == "big":
+        ms.byteswap()
+    words = array("H", ms.tobytes())
+    blocks = -(-len(ms) // 16)
+    rounds = [(sh, int.from_bytes(mask * blocks, "little")) for sh, mask in _TRANSPOSE_ROUNDS]
+    cols = []
+    for q in range(-(-n // 16)):
+        x = int.from_bytes(words[q::4], "little")
+        for sh, mask in rounds:
+            t = (x ^ x >> sh) & mask
+            x ^= t ^ t << sh
+        rows = array("H", x.to_bytes(32 * blocks, "little"))
+        cols += [int.from_bytes(rows[c::16], "little") for c in range(min(16, n - 16 * q))]
     return cols
 
 
@@ -160,12 +196,17 @@ def twin_classes(fam: Family, *, cols=None) -> tuple[KSet, ...]:
     and b move, so a and b are twins iff as many members hold a without b
     as b without a, and each of the former, swapped, is a member.
     """
+    return _twin_classes(fam.n, fam.members, cols)
+
+
+def _twin_classes(n: int, members, cols=None) -> tuple[KSet, ...]:
+    """:func:`twin_classes` of a sequence of distinct masks on [n]."""
     if cols is None:
-        cols = member_columns(fam.n, fam.members)
-    present = set(fam.members)
+        cols = member_columns(n, members)
+    present = set(members)
     reps: list[int] = []  # the least element of each class
     classes: list[KSet] = []
-    for e in range(fam.n):
+    for e in range(n):
         ce = cols[e]
         for c, r in enumerate(reps):
             only = ce & ~cols[r]
@@ -174,7 +215,7 @@ def twin_classes(fam: Family, *, cols=None) -> tuple[KSet, ...]:
             pair = 1 << r | 1 << e
             while only:
                 b = only & -only
-                if fam.members[b.bit_length() - 1] ^ pair not in present:
+                if members[b.bit_length() - 1] ^ pair not in present:
                     break
                 only ^= b
             else:

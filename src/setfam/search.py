@@ -17,6 +17,7 @@ then rebuilt member by member; a step searches only when no known optimum
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import _kernels
 from .bounds import hm_bound, triple_transversal_bound
@@ -162,18 +163,22 @@ def max_intersecting_subfamily(
         need -= 1
     # the witness must be an omega-clique of adj: each chosen member
     # misses no other chosen one
-    if chosen.bit_count() != omega or any(
-        chosen & ~adj[i] != 1 << i for i in range(nv) if chosen >> i & 1
-    ):
+    ok = chosen.bit_count() == omega
+    rest = chosen
+    while ok and rest:
+        b = rest & -rest
+        rest ^= b
+        ok = chosen & ~adj[b.bit_length() - 1] == b
+    if not ok:
         raise AssertionError("witness reconstruction failed")
     return omega, _subfamily(host, chosen)
 
 
 def _subfamily(host: Family, mask: int) -> Family:
     """The members of host whose indices are the set bits of mask."""
-    return Family(
-        host.n, host.k, tuple(m for i, m in enumerate(host.members) if mask >> i & 1)
-    )
+    # bin(mask)[:1:-1] lists the bits of mask from bit 0 up
+    picked = compress(host.members, map("1".__eq__, bin(mask)[:1:-1]))
+    return Family(host.n, host.k, tuple(picked))
 
 
 @dataclass(frozen=True)

@@ -392,6 +392,37 @@ def test_prop_k3_landscape_crash_fails_every_check(capsys, monkeypatch):
     assert all(c["status"] == "fail" and c["actual"] == "error: RuntimeError: boom" for c in checks)
 
 
+def test_suites_build_a_failed_landscape_once(monkeypatch):
+    # a landscape build that raises is not retried by every row that
+    # reads it: each suite builds it once and reports the same error
+    calls = []
+
+    def failing(name):
+        def build(n, k):
+            calls.append(name)
+            raise RuntimeError(f"no {name} at ({n},{k})")
+
+        return build
+
+    monkeypatch.setattr(enumeration, "landscape_classes", failing("classes"))
+    monkeypatch.setattr(enumeration, "landscape_counts", failing("counts"))
+    report = cli.suite_prop_k3(9)
+    assert calls == ["classes"]
+    assert [c.name for c in report.checks] == PROP_K3_CHECKS
+    assert {(c.status, c.actual) for c in report.checks} == {
+        ("fail", "error: RuntimeError: no classes at (9,3)")
+    }
+    calls.clear()
+    report = cli.suite_theorems()
+    assert calls == ["counts"]
+    landscape = [c for c in report.checks if c.name in KERNEL_CHECKS - {"kernel-hm-9-3"}]
+    assert len(landscape) == 3
+    assert {(c.status, c.actual) for c in landscape} == {
+        ("fail", "error: RuntimeError: no counts at (7,3)")
+    }
+    assert {c.name for c in report.checks if c.status == "fail"} == {c.name for c in landscape}
+
+
 def test_prop_k3_crash_fails_only_its_check(monkeypatch):
     # delta <= None raises inside min-degree-bound; the other checks still run
     monkeypatch.setattr(cli.bounds, "hm_min_degree", lambda n, k: None)

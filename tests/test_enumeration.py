@@ -67,6 +67,31 @@ def test_intersection_adjacency_threshold():
             check(ms, t)
 
 
+def test_intersection_adjacency_t1_against_pairwise_and():
+    # the per-slice tables of t = 1 on ground sets below, at and across
+    # their 6-element slice boundaries, with and without given columns
+    def pairwise(ms):
+        return [
+            sum(1 << j for j, b in enumerate(ms) if j != i and a & b) for i, a in enumerate(ms)
+        ]
+
+    rng = random.Random(2402)
+    for n in (5, 6, 7, 12, 13, 62):
+        for m in (1, 2, 9, 64, 70):
+            ms = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)]
+            ms[0] |= 1 << (n - 1)
+            want = pairwise(ms)
+            assert intersection_adjacency(ms) == want
+            assert intersection_adjacency(ms, 1, cols=member_columns(n, ms)) == want
+        ks = all_ksets(n, 2) if n < 62 else [kset((1, 62)), kset((30, 31)), kset((31, 62))]
+        assert intersection_adjacency(ks, cols=member_columns(n, ks)) == pairwise(ks)
+    assert intersection_adjacency([]) == []
+    assert intersection_adjacency([], cols=member_columns(13, [])) == []
+    for v in (0, 1, kset((5, 62))):
+        assert intersection_adjacency([v]) == [0]
+        assert intersection_adjacency([v], cols=member_columns(62, [v])) == [0]
+
+
 def test_5_2_against_powerset_oracle():
     got = {f.members for f in enumerate_maximal_intersecting(5, 2)}
     want = naive_maximal_intersecting(5, 2)

@@ -18,6 +18,7 @@ from setfam.famcore import (
     is_trivial,
     kset,
     maximal_closure,
+    member_columns,
     parse_fam,
     subfamily_at,
     twin_classes,
@@ -297,3 +298,54 @@ def test_fam_comments_and_blank_lines():
 def test_fam_strict_rejections(bad):
     with pytest.raises(ValueError):
         parse_fam(bad)
+
+
+# ground-set sizes at and around each 16-bit lane boundary, and member
+# counts at and around each 16-row block boundary
+COLUMN_NS = (2, 15, 16, 17, 31, 32, 33, 47, 48, 49, 62)
+COLUMN_MS = (0, 1, 15, 16, 17, 255, 256, 257)
+
+
+def loop_member_columns(n, members):
+    """member_columns as a loop over each member's bits: the reference for
+    the block transpose."""
+    cols = [0] * n
+    for i, v in enumerate(members):
+        for e in range(n):
+            if v >> e & 1:
+                cols[e] |= 1 << i
+    return cols
+
+
+def random_masks(rnd, n, m):
+    """m masks on [n], dense or sparse, one of them empty when m > 0."""
+    sparse = rnd.random() < 0.5
+    ms = [rnd.getrandbits(n) & (rnd.getrandbits(n) if sparse else -1) for _ in range(m)]
+    if ms:
+        ms[rnd.randrange(m)] = 0
+    return ms
+
+
+def test_member_columns_every_lane_and_block_boundary():
+    rng = random.Random(2401)
+    for n in COLUMN_NS:
+        for m in COLUMN_MS:
+            ms = random_masks(rng, n, m)
+            if m > 1:
+                ms[-1] |= 1 << (n - 1)  # the top element of [n] is used
+            want = loop_member_columns(n, ms)
+            assert member_columns(n, ms) == want
+            assert member_columns(n, (v for v in ms)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(COLUMN_NS),
+    st.sampled_from(COLUMN_MS),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+def test_property_member_columns_match_bit_loop(n, m, rnd, as_generator):
+    ms = random_masks(rnd, n, m)
+    got = member_columns(n, (v for v in ms) if as_generator else tuple(ms))
+    assert got == loop_member_columns(n, ms)

@@ -294,11 +294,23 @@ def test_canonical_min_known_where_invariants_cannot_decide():
     assert pure.canonical_min(7, moved, known={ca, cb}) == ca
 
 
+def affine_plane_3():
+    """The 12 lines of AG(2,3) on [9], point (x, y) as element 3x + y."""
+    lines = {
+        frozenset(((x + i * dx) % 3, (y + i * dy) % 3) for i in range(3))
+        for x in range(3)
+        for y in range(3)
+        for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2))
+    }
+    return [sum(1 << (3 * x + y) for x, y in line) for line in lines]
+
+
 def test_canonical_min_known_stops_early():
-    # the 27 triples meeting each of {1,2,3}, {4,5,6}, {7,8,9} once: a
-    # full search takes about 150 times as long as one that stops at the
-    # known canonical leaf, so a search that ran on after it shows here
-    fam = [sum(1 << e for e in c) for c in product((0, 1, 2), (3, 4, 5), (6, 7, 8))]
+    # AG(2,3) has no twins and every degree ties: a full search takes
+    # about 100 times as long as one that stops at the known canonical
+    # leaf, so a search that ran on after it shows here
+    fam = affine_plane_3()
+    assert twin_classes(family(9, 3, fam)) == tuple(1 << e for e in range(9))
     canon = pure.canonical_min(9, fam)
     moved = tuple(relabel_masks(fam, [4, 8, 0, 6, 2, 7, 1, 5, 3]))
 
@@ -311,6 +323,42 @@ def test_canonical_min_known_stops_early():
         return min(times)
 
     assert fastest(5, known={canon}) * 10 < fastest(3)
+
+
+def block_product(blocks):
+    """The sets meeting each of the disjoint blocks in one element."""
+    return [sum(1 << e for e in c) for c in product(*blocks)]
+
+
+def test_canonical_min_on_twin_blocks(monkeypatch):
+    # families whose twin classes are the blocks of a product, and their
+    # complements among all k-sets, each under three relabellings: against
+    # the brute force on [6] and [7], and on [9] against the search that
+    # branches on every element (twin classes turned off)
+    rng = random.Random(24)
+    cases = []
+    for blocks in (
+        ((0, 1), (2, 3), (4, 5)),
+        ((0, 1), (2, 3), (4, 5, 6)),
+        ((0, 1, 2), (3, 4, 5), (6, 7, 8)),
+    ):
+        n, k = max(blocks[-1]) + 1, len(blocks)
+        prod = block_product(blocks)
+        comp = sorted(set(all_ksets(n, k)) - set(prod))
+        assert twin_classes(family(n, k, prod)) == tuple(sum(1 << e for e in b) for b in blocks)
+        for fam in (prod, comp):
+            copies = []
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                copies.append(pure.canonical_min(n, relabel_masks(fam, perm)))
+            cases.append((n, fam, copies))
+    for n, fam, copies in cases:
+        if n < 9:
+            assert copies == [brute_canonical(n, fam)] * 3
+    monkeypatch.setattr(pure, "_twin_classes", lambda n, ms: tuple(1 << e for e in range(n)))
+    for n, fam, copies in cases:
+        assert copies == [pure.canonical_min(n, fam)] * 3
 
 
 def test_backend_interface():
