@@ -300,7 +300,7 @@ def _kernel_scan(counts) -> tuple[bool, int, int, int]:
         kern = covers.kernel(fam)
         cvs = kern.all_covers()
         k1_ok &= (not kern.layers[1]) == (famcore.is_trivial(fam) is None)
-        bad += count * (not all(a & b for i, a in enumerate(cvs) for b in cvs[i + 1 :]))
+        bad += count * (not famcore._pairwise_intersecting(cvs))
         worst = max(worst, len(kern.layers[3]))
         total += count
     return k1_ok, enumeration.exact_int(bad), worst, enumeration.exact_int(total)
@@ -472,12 +472,10 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.classes and args.n > enumeration.EXACT_CANONICAL_MAX_N:  # before a sweep of minutes
-        raise ValueError(f"--classes needs n <= {enumeration.EXACT_CANONICAL_MAX_N}, got {args.n}")
-    fams = enumeration.enumerate_maximal_intersecting(args.n, args.k)
     obj = {"n": args.n, "k": args.k}
     if args.classes:
-        classes = enumeration.iso_classes(fams)  # streamed: no family list is kept
+        # counted through the families containing [k]; refuses n > 10 before a sweep
+        classes = enumeration.landscape_classes(args.n, args.k)
         obj["labeled_total"] = sum(c.labeled_count for c in classes)
         obj["classes"] = [
             {
@@ -492,7 +490,7 @@ def cmd_enumerate(args) -> int:
             for c in classes
         ]
     else:
-        fams = list(fams)
+        fams = list(enumeration.enumerate_maximal_intersecting(args.n, args.k))
         obj["labeled_total"] = len(fams)
         obj["families"] = [[list(famcore.elements(m)) for m in f.members] for f in fams]
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.output)
@@ -686,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = b.add_subparsers(dest="what", required=True)
     sp = bsub.add_parser("calc")
     sp.add_argument("--name", required=True)
-    for param in ("n", "k", "t", "s", "i", "l", "m", "c"):
+    for param in ("n", "k", "t", "s", "i", "l", "m"):
         sp.add_argument(f"--{param}", type=int, default=None)
     sp.set_defaults(func=cmd_bounds)
     sp = bsub.add_parser("audit")

@@ -286,26 +286,17 @@ def subfamily_at(fam: Family, x: int) -> Family:
 def maximal_closure(fam: Family) -> Family:
     """Extend an intersecting family to a maximal intersecting one.
 
-    Iterates F -> {G : G meets every member of F}.  When that step yields
-    an intersecting family, it is the unique maximal intersecting family
-    containing the input and the fixed point is returned.  Otherwise the
-    input has several maximal extensions; a deterministic greedy
-    completion (smallest admissible mask first) picks one.
+    A greedy pass over the k-sets of [n] in increasing mask order adds
+    each one that meets every member chosen so far.  When
+    {G : G meets every member of F} is intersecting, it is the unique
+    maximal intersecting family containing the input, and the pass adds
+    exactly that set.  Otherwise the input has several maximal
+    extensions, and the pass picks one deterministically.
     """
     if not is_intersecting(fam):
         raise ValueError("maximal_closure requires an intersecting family")
-    universe = all_ksets(fam.n, fam.k)
-    cur = list(fam.members)
-    for _ in range(2):
-        ext = [g for g in universe if all(g & f for f in cur)]
-        if len(ext) == len(cur):
-            return Family(fam.n, fam.k, tuple(ext))
-        if _pairwise_intersecting(ext):
-            cur = ext
-        else:
-            break
-    chosen = set(cur)
-    for g in universe:
+    chosen = set(fam.members)
+    for g in all_ksets(fam.n, fam.k):
         if g not in chosen and all(g & f for f in chosen):
             chosen.add(g)
     return Family(fam.n, fam.k, tuple(sorted(chosen)))

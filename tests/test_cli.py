@@ -94,6 +94,12 @@ def test_bounds_calc(capsys):
     assert code == 2  # missing --k
 
 
+def test_bounds_calc_flags_are_the_ones_the_calculators_read():
+    args = cli.build_parser().parse_args(["bounds", "calc", "--name", "ekr"])
+    flags = set(vars(args)) - {"command", "what", "name", "func"}
+    assert flags == {p for _, params in cli.BOUND_CALCS.values() for p in params}
+
+
 def test_bounds_audit_csv(capsys):
     code, out, _ = run(capsys, "bounds", "audit", "--name", "telescoping", "--grid", "n<=20,k<=4")
     assert code == 0
@@ -500,19 +506,39 @@ def test_search_ekr_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-def test_enumerate_classes_streams_the_families(capsys, monkeypatch):
-    # iso_classes gets the enumeration itself, not a list of every family
-    seen = []
-    real = enumeration.iso_classes
+def test_enumerate_classes_counts_through_one_member(capsys, monkeypatch):
+    # only the maximal families containing {1, 2, 3} are built; the
+    # labelled enumeration of all 6127 is never called
+    built = []
+    real = enumeration.encode_counts
 
     def recording(fams):
-        seen.append(fams)
+        fams = list(fams)
+        built.extend(fams)
         return real(fams)
 
-    monkeypatch.setattr(enumeration, "iso_classes", recording)
+    def refused(n, k):
+        raise AssertionError("enumerate_maximal_intersecting called")
+
+    monkeypatch.setattr(enumeration, "encode_counts", recording)
+    monkeypatch.setattr(enumeration, "enumerate_maximal_intersecting", refused)
     code, out, _ = run(capsys, "enumerate", "--n", "7", "--k", "3", "--classes")
     assert code == 0 and json.loads(out)["labeled_total"] == 6127
-    assert len(seen) == 1 and not isinstance(seen[0], (list, tuple))
+    assert len(built) == 1860 and all(kset((1, 2, 3)) in f.members for f in built)
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (5, 2), (6, 2), (7, 2), (8, 2), (7, 3), (8, 3)])
+def test_enumerate_classes_bytes_equal_the_labelled_route(capsys, monkeypatch, n, k):
+    argv = ("enumerate", "--n", str(n), "--k", str(k), "--classes")
+    code, through_one, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(
+        enumeration,
+        "landscape_classes",
+        lambda n, k: enumeration.iso_classes(enumeration.enumerate_maximal_intersecting(n, k)),
+    )
+    code, labelled, _ = run(capsys, *argv)
+    assert code == 0 and through_one == labelled
 
 
 def test_verify_refuses_ignored_options(capsys):

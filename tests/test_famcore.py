@@ -184,6 +184,37 @@ def test_maximal_closure_properties():
         maximal_closure(family(6, 3, [(1, 2, 3), (4, 5, 6)]))
 
 
+def lex_greedy_closure(fam):
+    # the k-sets of [n] by increasing mask, each kept when it meets every
+    # set kept so far, starting from the members
+    kept = list(fam.members)
+    ksets = sorted(sum(1 << (e - 1) for e in c) for c in combinations(range(1, fam.n + 1), fam.k))
+    for g in ksets:
+        if g not in kept and all(g & f for f in kept):
+            kept.append(g)
+    return Family(fam.n, fam.k, tuple(sorted(kept)))
+
+
+@st.composite
+def intersecting_families(draw, max_n=9, max_k=4, max_members=6):
+    fam = draw(families(max_n, max_k, max_members))
+    kept = []
+    for m in fam.members:
+        if all(m & f for f in kept):
+            kept.append(m)
+    return Family(fam.n, fam.k, tuple(kept))
+
+
+@settings(max_examples=150, deadline=None)
+@given(intersecting_families())
+def test_property_maximal_closure_is_the_lex_greedy_extension(fam):
+    closed = maximal_closure(fam)
+    assert closed == lex_greedy_closure(fam)
+    ext = [g for g in all_ksets(fam.n, fam.k) if all(g & f for f in fam.members)]
+    if is_intersecting(Family(fam.n, fam.k, tuple(ext))):
+        assert closed.members == tuple(ext)  # the unique maximal extension
+
+
 @settings(max_examples=60, deadline=None)
 @given(families(max_n=7, max_k=3, max_members=6))
 def test_property_handshake(fam):
