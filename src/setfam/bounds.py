@@ -207,7 +207,10 @@ def audit_inclusion_exclusion(n: int, k: int, t: int) -> AuditResult:
 
         C(n-2,k-2) - 2*C(n-k-2,k-2) + C(n-2k+t-2,k-2)
 
-    checked against a brute-force count on a concrete placement.
+    checked against a direct count on a concrete placement: u = 1,
+    x = 2, E = {3..k+2} and E' = {3..t+2} | {k+3..2k-t+2}.  The k-sets
+    through {u, x} are {u, x} plus each (k-2)-subset of the other n - 2
+    elements, and each is tested against E and E' by AND.
     """
     if not 1 <= t <= k - 1:
         raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={k}")
@@ -216,13 +219,13 @@ def audit_inclusion_exclusion(n: int, k: int, t: int) -> AuditResult:
     if n > 14:
         raise ValueError(f"brute-force arm is capped at n <= 14, got {n}")
     closed = binom(n - 2, k - 2) - 2 * binom(n - k - 2, k - 2) + binom(n - 2 * k + t - 2, k - 2)
-    u, x = 1, 2
-    e1 = set(range(3, k + 3))
-    e2 = set(range(3, t + 3)) | set(range(k + 3, 2 * k - t + 3))
+    ux = 0b11
+    e1 = ((1 << k) - 1) << 2
+    e2 = ((1 << t) - 1) << 2 | ((1 << (k - t)) - 1) << (k + 2)
     count = 0
-    for cmb in combinations(range(1, n + 1), k):
-        s = set(cmb)
-        if u in s and x in s and s & e1 and s & e2:
+    for rest in combinations([1 << i for i in range(2, n)], k - 2):
+        s = ux | sum(rest)
+        if s & e1 and s & e2:
             count += 1
     return AuditResult({"n": n, "k": k, "t": t}, closed, count, closed == count, True)
 

@@ -140,6 +140,16 @@ def matching_number(fam: Family) -> int:
     Branches on the lowest element still present among the candidates:
     either some member through it joins the matching or the element is
     discarded entirely.
+
+    A branch is pruned when either of two bounds on the candidates'
+    matching number shows it cannot beat the best found.  The members of
+    a matching are disjoint k-sets, so they cover k elements each of the
+    candidates' union.  Their least elements are distinct, so there are
+    no more of them than distinct least elements c & -c among the
+    candidates.  On a family whose members all meet {1..s} the second
+    bound is s at the root, and the search stops at the first s-matching.
+    The second bound is collected only when the first does not prune, so
+    branches the union bound settles cost no extra pass.
     """
     best = 0
     k = fam.k
@@ -154,6 +164,11 @@ def matching_number(fam: Family) -> int:
         for c in cands:
             union |= c
         if count + union.bit_count() // k <= best:
+            return
+        lows = 0
+        for c in cands:
+            lows |= c & -c
+        if count + lows.bit_count() <= best:
             return
         ebit = union & -union
         with_e = [c for c in cands if c & ebit]

@@ -36,7 +36,7 @@ from .famcore import MAX_GROUND, Family, all_ksets, degree_profile, is_trivial, 
 
 EXACT_CANONICAL_MAX_N = 10
 
-_SLICE = 6  # ground-set elements per lookup table of intersection_adjacency
+_SLICE = 6  # bits per lookup table: intersection_adjacency, clique decode
 _SLICE_MASK = (1 << _SLICE) - 1
 
 
@@ -102,16 +102,30 @@ def _check_regime(n: int, k: int) -> None:
 
 def _maximal_families(n: int, k: int, vertices: list[int]) -> Iterator[Family]:
     """A Family for each maximal clique of the intersection graph on the
-    given k-sets, as the clique search finds it."""
+    given k-sets (in ascending order), as the clique search finds it.
+
+    A clique mask is decoded through the same 6-vertex slices as the
+    t = 1 tables of ``intersection_adjacency``: slice s gets a 64-entry
+    table whose entry b is the tuple of the slice's vertices in b, in
+    ascending order, built as tab[b] = (vertex of low,) + tab[b ^ low],
+    where low is the lowest bit of b.  A clique's members are then one
+    lookup and one tuple concatenation per slice.  The tables are built
+    per call."""
+    nv = len(vertices)
     adj = intersection_adjacency(vertices)
-    for clique in _kernels.maximal_cliques(adj, len(vertices)):
-        mem = []
-        c = clique
-        while c:
-            b = c & -c
-            c ^= b
-            mem.append(vertices[b.bit_length() - 1])
-        yield Family(n, k, tuple(mem))
+    tables = []
+    for s in range(0, nv, _SLICE):
+        tab = [()]
+        for b in range(1, 1 << min(_SLICE, nv - s)):
+            low = b & -b
+            tab.append((vertices[s + low.bit_length() - 1],) + tab[b ^ low])
+        tables.append(tab)
+    for clique in _kernels.maximal_cliques(adj, nv):
+        mem = ()
+        for tab in tables:
+            mem += tab[clique & _SLICE_MASK]
+            clique >>= _SLICE
+        yield Family(n, k, mem)
 
 
 def enumerate_maximal_intersecting(n: int, k: int) -> Iterator[Family]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_minimal_covers
+from conftest import brute_minimal_covers, nx_max_clique_size
 from setfam.covers import (
     Kernel,
     cover_number,
@@ -223,6 +223,18 @@ def test_matching_number():
     assert matching_number(HM93) == 1
     assert matching_number(gen_complete(6, 2)) == 3
     assert matching_number(Family(6, 2, ())) == 0
+
+
+def test_matching_number_against_networkx():
+    # the largest clique of the disjointness graph, found by networkx
+    rng = random.Random(2026)
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        n = rng.randint(k + 1, 14)
+        pool = all_ksets(n, k)
+        ms = sorted(rng.sample(pool, min(len(pool), rng.randint(0, 80))))
+        disjoint = [sum(1 << j for j, b in enumerate(ms) if not a & b) for a in ms]
+        assert matching_number(Family(n, k, tuple(ms))) == nx_max_clique_size(disjoint, len(ms))
 
 
 @settings(max_examples=50, deadline=None)

@@ -92,6 +92,33 @@ def test_intersection_adjacency_t1_against_pairwise_and():
         assert intersection_adjacency([v], cols=member_columns(62, [v])) == [0]
 
 
+@pytest.mark.parametrize(
+    "n, k, through, nv",
+    [
+        (5, 2, 0, 10),
+        (9, 2, 0, 36),
+        (7, 2, 0, 21),
+        (7, 3, 0, 35),
+        (7, 3, 0b111, 31),
+        (8, 3, 0b111, 46),
+    ],
+)
+def test_maximal_families_decode_against_bit_loop(n, k, through, nv):
+    # the per-slice clique decode on vertex counts below, at and across a
+    # multiple of its 6-vertex slices
+    vertices = [v for v in all_ksets(n, k) if not through or v & through]
+    assert len(vertices) == nv
+    want = []
+    for clique in _kernels.maximal_cliques(intersection_adjacency(vertices), len(vertices)):
+        mem = []
+        while clique:
+            b = clique & -clique
+            clique ^= b
+            mem.append(vertices[b.bit_length() - 1])
+        want.append(tuple(mem))
+    assert [f.members for f in enumeration._maximal_families(n, k, vertices)] == want
+
+
 def test_5_2_against_powerset_oracle():
     got = {f.members for f in enumerate_maximal_intersecting(5, 2)}
     want = naive_maximal_intersecting(5, 2)

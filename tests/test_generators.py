@@ -93,7 +93,10 @@ def test_meets_front_sizes():
 
 
 def test_meets_front_matching_number():
-    for n, k, s in ((9, 3, 2), (8, 2, 2), (10, 2, 3), (12, 3, 3)):
+    # every member meets {1..s}, so the least-element bound is s at the
+    # root; without it the last three took 1 s, 4 s and 72 s
+    cases = ((9, 3, 2), (8, 2, 2), (10, 2, 3), (12, 3, 3), (15, 3, 4), (16, 4, 3), (18, 3, 5))
+    for n, k, s in cases:
         assert n >= k * (s + 1)
         assert matching_number(gen_meets_front(n, k, s)) == s
 
