@@ -13,9 +13,17 @@ found (``_kernels.canonical_min``'s ``known``).
 
 A whole landscape can also be counted through one member
 (``landscape_counts``, ``landscape_classes``): only the maximal families
-containing [k] are built, each weighted by C(n, k)/|F|, which gives every
-relabelling-invariant count of the whole landscape exactly, because S_n
-is transitive on k-sets.  At (7,3) that is 1860 of the 6127 families.
+containing [k] are decoded, each weighted by C(n, k)/|F|, which gives
+every relabelling-invariant count of the whole landscape exactly, because
+S_n is transitive on k-sets.  At (7,3) that is 1860 of the 6127 families.
+
+Both paths share one clique decode, ``_maximal_members``, which yields
+plain ascending member tuples.  ``landscape_counts`` encodes those tuples
+directly and builds no ``Family``; ``enumerate_maximal_intersecting``
+wraps each in a ``Family`` without re-validating it, since its n and k
+are checked up front and its members come ascending out of ``all_ksets``.
+A ``Family`` a caller passes in (``encode_counts``, ``iso_classes``) was
+validated when the caller built it.
 """
 
 from __future__ import annotations
@@ -32,7 +40,15 @@ from typing import Iterable, Iterator, Mapping
 
 from . import _kernels
 from .covers import cover_number
-from .famcore import MAX_GROUND, Family, all_ksets, degree_profile, is_trivial, member_columns
+from .famcore import (
+    MAX_GROUND,
+    Family,
+    _unchecked_family,
+    all_ksets,
+    degree_profile,
+    is_trivial,
+    member_columns,
+)
 
 EXACT_CANONICAL_MAX_N = 10
 
@@ -100,9 +116,10 @@ def _check_regime(n: int, k: int) -> None:
         )
 
 
-def _maximal_families(n: int, k: int, vertices: list[int]) -> Iterator[Family]:
-    """A Family for each maximal clique of the intersection graph on the
-    given k-sets (in ascending order), as the clique search finds it.
+def _maximal_members(vertices: list[int]) -> Iterator[tuple[int, ...]]:
+    """The member tuple of each maximal clique of the intersection graph
+    on the given k-sets (in ascending order), as the clique search finds
+    it; each tuple is ascending.
 
     A clique mask is decoded through the same 6-vertex slices as the
     t = 1 tables of ``intersection_adjacency``: slice s gets a 64-entry
@@ -125,7 +142,16 @@ def _maximal_families(n: int, k: int, vertices: list[int]) -> Iterator[Family]:
         for tab in tables:
             mem += tab[clique & _SLICE_MASK]
             clique >>= _SLICE
-        yield Family(n, k, mem)
+        yield mem
+
+
+def _maximal_families(n: int, k: int, vertices: list[int]) -> Iterator[Family]:
+    """A Family for each tuple of ``_maximal_members(vertices)``, in its
+    order.  The vertices must be distinct k-sets of [n] in ascending
+    order, with n and k already checked (``_check_regime``): every decoded
+    tuple is then a valid member tuple, so it is not validated again."""
+    for mem in _maximal_members(vertices):
+        yield _unchecked_family(n, k, mem)
 
 
 def enumerate_maximal_intersecting(n: int, k: int) -> Iterator[Family]:
@@ -152,18 +178,19 @@ def landscape_counts(n: int, k: int) -> dict[tuple, Fraction]:
     need not be.  The families through S0 are the maximal cliques of the
     intersection graph on the k-sets meeting S0: S0 is adjacent to all of
     them, so each such clique contains S0 and is maximal in the whole
-    graph.  Refuses what ``enumerate_maximal_intersecting`` and
-    ``encode_counts`` refuse, before any k-set is built."""
+    graph.  The decoded member tuples are encoded as they come, so no
+    ``Family`` is built.  Refuses what ``enumerate_maximal_intersecting``
+    and ``encode_counts`` refuse, before any k-set is built."""
     _check_regime(n, k)
     if n > EXACT_CANONICAL_MAX_N:
         raise ValueError(f"exact canonical mode needs n <= {EXACT_CANONICAL_MAX_N}, got {n}")
     s0 = (1 << k) - 1
-    through = [v for v in all_ksets(n, k) if v & s0]
+    counts: dict[tuple, int] = {}
+    for mem in _maximal_members([v for v in all_ksets(n, k) if v & s0]):
+        enc = _degree_order_encode(n, mem)
+        counts[enc] = counts.get(enc, 0) + 1
     total = comb(n, k)
-    return {
-        key: Fraction(count * total, len(key[2]))
-        for key, count in encode_counts(_maximal_families(n, k, through)).items()
-    }
+    return {(n, k, enc): Fraction(count * total, len(enc)) for enc, count in counts.items()}
 
 
 def canonical_members(fam: Family) -> tuple[int, ...]:

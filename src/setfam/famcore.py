@@ -82,6 +82,21 @@ class Family:
         return iter(self.members)
 
 
+def _unchecked_family(n: int, k: int, members: tuple[KSet, ...]) -> Family:
+    """Family(n, k, members) without the validation of ``__post_init__``.
+
+    Precondition, on the caller: 2 <= n <= MAX_GROUND, 1 <= k <= n, and
+    members is a strictly increasing tuple of k-sets of [n].  The fields
+    are set in declaration order as the frozen dataclass's own
+    ``__init__`` sets them, so the result equals, hashes and prints like
+    the validated Family and stays frozen."""
+    fam = object.__new__(Family)
+    object.__setattr__(fam, "n", n)
+    object.__setattr__(fam, "k", k)
+    object.__setattr__(fam, "members", members)
+    return fam
+
+
 def family(n: int, k: int, sets) -> Family:
     """Build a Family from masks or element iterables, sorting and deduplicating."""
     masks = set()

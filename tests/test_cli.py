@@ -507,24 +507,24 @@ def test_search_ekr_bytes_pinned(tmp_path, capsys):
 
 
 def test_enumerate_classes_counts_through_one_member(capsys, monkeypatch):
-    # only the maximal families containing {1, 2, 3} are built; the
+    # only the maximal families containing {1, 2, 3} are decoded; the
     # labelled enumeration of all 6127 is never called
     built = []
-    real = enumeration.encode_counts
+    real = enumeration._maximal_members
 
-    def recording(fams):
-        fams = list(fams)
-        built.extend(fams)
-        return real(fams)
+    def recording(vertices):
+        for mem in real(vertices):
+            built.append(mem)
+            yield mem
 
     def refused(n, k):
         raise AssertionError("enumerate_maximal_intersecting called")
 
-    monkeypatch.setattr(enumeration, "encode_counts", recording)
+    monkeypatch.setattr(enumeration, "_maximal_members", recording)
     monkeypatch.setattr(enumeration, "enumerate_maximal_intersecting", refused)
     code, out, _ = run(capsys, "enumerate", "--n", "7", "--k", "3", "--classes")
     assert code == 0 and json.loads(out)["labeled_total"] == 6127
-    assert len(built) == 1860 and all(kset((1, 2, 3)) in f.members for f in built)
+    assert len(built) == 1860 and all(kset((1, 2, 3)) in mem for mem in built)
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (5, 2), (6, 2), (7, 2), (8, 2), (7, 3), (8, 3)])

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import permutations
 
@@ -211,6 +212,32 @@ def test_landscape_counts_enumerates_only_the_families_through_k():
         for key, count in enumeration.encode_counts(through).items()
     }
     assert len(counts) == 45 and sum(counts.values()) == 6127
+
+
+@pytest.mark.parametrize("n, k, total", [(5, 2, 15), (6, 2, 26), (7, 3, 6127), (8, 3, 23936)])
+def test_enumerated_families_equal_validated_ones(n, k, total):
+    # the enumeration builds its families without re-validating them; each
+    # must be the Family the validating constructor builds, and frozen
+    count = 0
+    for f in enumerate_maximal_intersecting(n, k):
+        g = Family(f.n, f.k, f.members)
+        assert type(f) is Family
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+        with pytest.raises(FrozenInstanceError):
+            f.members = ()
+        count += 1
+    assert count == total
+
+
+def test_landscape_counts_builds_no_family(monkeypatch):
+    want = {nk: enumeration.landscape_counts(*nk) for nk in ((7, 3), (8, 3))}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Family was built for landscape_counts")
+
+    monkeypatch.setattr(enumeration, "Family", refused)
+    for nk, counts in want.items():
+        assert enumeration.landscape_counts(*nk) == counts
 
 
 @pytest.mark.parametrize(
