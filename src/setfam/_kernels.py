@@ -1,4 +1,6 @@
-"""Pure-Python search kernels.
+"""Search kernels: maximal-clique enumeration, max-clique size with
+orbital branching, and canonical relabeling, in pure Python.  The
+symmetry both searches use (famcore's twin classes) is derived here.
 
 Graph vertices are indices 0..nv-1 and adj[v] is the neighborhood of v
 as a bitmask over vertex indices (no self loops).
@@ -6,9 +8,24 @@ as a bitmask over vertex indices (no self loops).
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator
 
-from ..famcore import _twin_classes
+from .famcore import _twin_classes
+
+# The backend names stay only for perfbench, which reads them (ROADMAP item 7).
+BACKEND = "pure"
+
+
+def available_backends() -> list[str]:
+    return [BACKEND]
+
+
+def load_backend(name: str):
+    """This module under its backend name; "pure" is the only one."""
+    if name != BACKEND:
+        raise ValueError(f"unknown backend {name!r}")
+    return sys.modules[__name__]
 
 
 def maximal_cliques(adj, nv: int) -> Iterator[int]:
@@ -62,11 +79,12 @@ def max_clique_size(adj, nv: int, cand: int, lb: int = 0, host=None) -> int:
     run on an explicit stack of frames (p, size, order, colors, i, sym),
     so the clique size is not limited by the recursion limit.
 
-    host, when given, is (members, cols, classes): vertex v is the member
-    mask members[v], cols is famcore.member_columns of the members, and
-    classes are twin classes of the host (famcore.twin_classes), so that
-    every permutation of the ground set fixing each class setwise maps the
-    graph onto itself.  cand must be a union of orbits of that group.
+    host, when given, is (members, cols): vertex v is the member mask
+    members[v], and cols is famcore.member_columns of the members.  The
+    members' twin classes (famcore.twin_classes) are derived from them
+    here, at the root, so that every permutation of the ground set fixing
+    each class setwise maps the graph onto itself.  cand must be a union
+    of orbits of that group.
     Each frame then branches once per orbit (orbital branching, Ostrowski
     et al. 2011) of the stabiliser of the members chosen on its path.
     That stabiliser permutes freely within each atom: the classes split by
@@ -190,10 +208,12 @@ def _split(orbits: list[int], planes: list[int]) -> list[int]:
 
 
 def _root_orbits(cand: int, host):
-    """(atoms, orbits) of the group fixing every class, on cand, or None
-    when that group is trivial on cand.  Only atoms and orbits of two or
-    more elements are kept; a vertex in no listed orbit is its own."""
-    _, cols, classes = host
+    """(atoms, orbits) of the group fixing every twin class of the host's
+    members, on cand, or None when that group is trivial on cand.  Only
+    atoms and orbits of two or more elements are kept; a vertex in no
+    listed orbit is its own."""
+    members, cols = host
+    classes = _twin_classes(len(cols), members, cols)
     atoms = [a for a in classes if a & (a - 1)]
     if not atoms or not cand & (cand - 1):
         return None
@@ -211,7 +231,7 @@ def _child_orbits(sym, host, u: int, np_: int):
     halves of the atoms u splits.  Counting one half suffices: the parent
     orbit already fixes the count over the whole atom."""
     atoms, orbits = sym
-    members, cols, _ = host
+    members, cols = host
     mu = members[u]
     orbits = [o for o in (o & np_ for o in orbits) if o & (o - 1)]
     if not orbits:

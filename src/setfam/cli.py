@@ -289,11 +289,10 @@ def _kernel_scan(counts) -> tuple[bool, int, int, int]:
     families whose size-<=k kernel is not pairwise intersecting, max |K_3|,
     number of families) over intersecting families, given as a mapping
     from (n, k, degree-order encode) to how many families it stands for
-    (``enumeration.encode_counts``, or the weights of
-    ``enumeration.landscape_counts``).  One kernel and one triviality test
-    per encode, a relabelled copy of every family it counts: all four facts
-    are relabelling invariants (K(pF) = pK(F)), so a violation counts once
-    per family."""
+    (the weights of ``enumeration.landscape_counts``).  One kernel and one
+    triviality test per encode, a relabelled copy of every family it
+    counts: all four facts are relabelling invariants (K(pF) = pK(F)), so
+    a violation counts once per family."""
     k1_ok, bad, worst, total = True, 0, 0, 0
     for (n, k, enc), count in counts.items():
         fam = famcore.Family(n, k, enc)

@@ -145,23 +145,17 @@ def _maximal_members(vertices: list[int]) -> Iterator[tuple[int, ...]]:
         yield mem
 
 
-def _maximal_families(n: int, k: int, vertices: list[int]) -> Iterator[Family]:
-    """A Family for each tuple of ``_maximal_members(vertices)``, in its
-    order.  The vertices must be distinct k-sets of [n] in ascending
-    order, with n and k already checked (``_check_regime``): every decoded
-    tuple is then a valid member tuple, so it is not validated again."""
-    for mem in _maximal_members(vertices):
-        yield _unchecked_family(n, k, mem)
-
-
 def enumerate_maximal_intersecting(n: int, k: int) -> Iterator[Family]:
     """Yield every maximal intersecting k-uniform family on [n] once, in
     discovery order, each as soon as the clique search finds it.  Requires n > 2k: at n = 2k every family avoiding
     both sets of a complement pair extends ambiguously and the count
     explodes, so that regime is rejected, as are n outside [2, MAX_GROUND]
-    and k outside [1, n], before any k-set is built."""
+    and k outside [1, n], before any k-set is built.  The k-sets come
+    ascending out of ``all_ksets``, so every decoded tuple is a valid
+    member tuple and is not validated again."""
     _check_regime(n, k)
-    yield from _maximal_families(n, k, all_ksets(n, k))
+    for mem in _maximal_members(all_ksets(n, k)):
+        yield _unchecked_family(n, k, mem)
 
 
 def landscape_counts(n: int, k: int) -> dict[tuple, Fraction]:
@@ -191,11 +185,6 @@ def landscape_counts(n: int, k: int) -> dict[tuple, Fraction]:
         counts[enc] = counts.get(enc, 0) + 1
     total = comb(n, k)
     return {(n, k, enc): Fraction(count * total, len(enc)) for enc, count in counts.items()}
-
-
-def canonical_members(fam: Family) -> tuple[int, ...]:
-    """Exact canonical encoding (minimum relabeled member tuple)."""
-    return _kernels.canonical_min(fam.n, fam.members)
 
 
 _LANE = 16  # bits per member in the degree-order encode

@@ -194,7 +194,7 @@ def degree_profile(fam: Family) -> DegreeProfile:
     )
 
 
-def twin_classes(fam: Family, *, cols=None) -> tuple[KSet, ...]:
+def twin_classes(fam: Family) -> tuple[KSet, ...]:
     """The partition of [n] into twin classes, as element masks ordered by
     least element.
 
@@ -206,16 +206,17 @@ def twin_classes(fam: Family, *, cols=None) -> tuple[KSet, ...]:
     lie in one orbit of that group iff they meet every class in the same
     number of elements.
 
-    The test reads the member columns (:func:`member_columns`, built here
-    unless cols gives them): only the members holding exactly one of a
-    and b move, so a and b are twins iff as many members hold a without b
-    as b without a, and each of the former, swapped, is a member.
+    The test reads the member columns (:func:`member_columns`): only the
+    members holding exactly one of a and b move, so a and b are twins iff
+    as many members hold a without b as b without a, and each of the
+    former, swapped, is a member.
     """
-    return _twin_classes(fam.n, fam.members, cols)
+    return _twin_classes(fam.n, fam.members)
 
 
 def _twin_classes(n: int, members, cols=None) -> tuple[KSet, ...]:
-    """:func:`twin_classes` of a sequence of distinct masks on [n]."""
+    """:func:`twin_classes` of a sequence of distinct masks on [n]; cols,
+    when given, are their member columns (the search kernel has them)."""
     if cols is None:
         cols = member_columns(n, members)
     present = set(members)

@@ -6,12 +6,13 @@ when it reaches the Hilton-Milner bound on non-trivial intersecting
 families (the EKR bound at n = 2k); above that bound the witness is the
 lex-least full column of largest degree, and no graph is built.
 Otherwise the search is exact branch and bound with greedy-coloring
-upper bounds, seeded with the best star.  The proof of the optimum branches once per member orbit in every frame whose
-symmetry group is non-trivial: the group fixes the host's ground-set
-twin classes and the members chosen on the frame's path, and its orbits
-are split from the member columns.  The lex-least witness is
-then rebuilt member by member; a step searches only when no known optimum
-(the best star, or a greedy completion) already contains it.
+upper bounds, seeded with the best star.  The proof of the optimum
+branches once per member orbit in every frame whose symmetry group is
+non-trivial: the group fixes the host's ground-set twin classes, which
+the kernel derives from the members and their columns, and the members
+chosen on the frame's path.  The lex-least witness is then rebuilt
+member by member; a step searches only when no known optimum (the best
+star, or a greedy completion) already contains it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import compress
 from . import _kernels
 from .bounds import hm_bound, triple_transversal_bound
 from .enumeration import intersection_adjacency
-from .famcore import Family, member_columns, twin_classes
+from .famcore import Family, member_columns
 from .generators import ConstraintSpec, consecutive_blocks, gen_constrained
 
 DEFAULT_MEMBER_CAP = 5000
@@ -48,8 +49,8 @@ def max_intersecting_subfamily(
 
     The host's member columns (:func:`famcore.member_columns`) are built
     once (check_ekr_property passes the ones it built as _cols); the
-    best star, the intersection graph and the twin classes
-    (:func:`famcore.twin_classes`) come from them.
+    best star and the intersection graph come from them, and the kernel
+    derives the host's twin classes from them when it proves omega.
 
     The best star is compared with hm = :func:`bounds.hm_bound` first.
     For n > 2k every non-trivial intersecting family of k-sets has at
@@ -129,9 +130,7 @@ def max_intersecting_subfamily(
     if star == hm:
         omega = star
     else:
-        omega = _kernels.max_clique_size(
-            adj, nv, full, star, (host.members, cols, twin_classes(host, cols=cols))
-        )
+        omega = _kernels.max_clique_size(adj, nv, full, star, (host.members, cols))
     cert = cols[center - 1] if omega == star else 0
     chosen = 0
     cand = full

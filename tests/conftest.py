@@ -11,6 +11,8 @@ from itertools import combinations, permutations
 
 import networkx as nx
 
+from setfam.famcore import Family
+
 
 def masks_of(n, k):
     return [sum(1 << i for i in c) for c in combinations(range(n), k)]
@@ -61,15 +63,21 @@ def nx_maximal_cliques(adjacency_masks, nv):
     return {frozenset(c) for c in nx.find_cliques(g)}
 
 
+def relabel_mask(m, perm):
+    """The mask m under the element map i -> perm[i] (0-based)."""
+    return sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1)
+
+
+def relabel(fam, perm):
+    """The family under the element map i -> perm[i], members sorted."""
+    return Family(fam.n, fam.k, tuple(sorted(relabel_mask(m, perm) for m in fam.members)))
+
+
 def brute_canonical(n, members):
     """Minimum relabeled encode over every permutation of [n] (small n only)."""
     best = None
     for perm in permutations(range(n)):
-        enc = tuple(
-            sorted(
-                sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in members
-            )
-        )
+        enc = tuple(sorted(relabel_mask(m, perm) for m in members))
         if best is None or enc < best:
             best = enc
     return best

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import relabel
 from setfam import _kernels, cli, covers, enumeration, famcore
 from setfam.famcore import kset, parse_fam
 from setfam.generators import (
@@ -467,9 +468,7 @@ def test_report_bytes_pinned(capsys, argv, digest):
 def relabelled(fam, seed):
     perm = list(range(fam.n))
     random.Random(seed).shuffle(perm)
-    return famcore.family(
-        fam.n, fam.k, (sum(1 << perm[i] for i in range(fam.n) if m >> i & 1) for m in fam.members)
-    )
+    return relabel(fam, perm)
 
 
 @pytest.mark.parametrize(

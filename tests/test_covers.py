@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_minimal_covers, nx_max_clique_size
+from conftest import brute_minimal_covers, nx_max_clique_size, relabel, relabel_mask
 from setfam.covers import (
     Kernel,
     cover_number,
@@ -92,10 +92,6 @@ def test_property_kernel_matches_powerset_oracle(data):
         assert layer == tuple(c for c in want if c.bit_count() == i)
 
 
-def relabel_mask(m, perm):
-    return sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1)
-
-
 def random_intersecting(rng, n, k, size):
     """Up to size k-sets on [n], drawn in random order, each kept if it
     meets every one kept before it."""
@@ -120,7 +116,7 @@ def test_kernel_commutes_with_relabelling():
         fam = random_intersecting(rng, n, k, rng.randint(1, 25))
         perm = list(range(n))
         rng.shuffle(perm)
-        moved = Family(n, k, tuple(sorted(relabel_mask(m, perm) for m in fam.members)))
+        moved = relabel(fam, perm)
         for cap in range(1, n + 1):
             kern = kernel(fam, cap)
             want = Kernel(

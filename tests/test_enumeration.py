@@ -7,11 +7,10 @@ from itertools import permutations
 
 import pytest
 
-from conftest import brute_canonical, naive_maximal_intersecting
+from conftest import brute_canonical, naive_maximal_intersecting, relabel
 from setfam import _kernels, enumeration
 from setfam.enumeration import (
     UnsupportedRegimeError,
-    canonical_members,
     enumerate_maximal_intersecting,
     intersection_adjacency,
     iso_classes,
@@ -27,14 +26,6 @@ from setfam.famcore import (
     member_columns,
 )
 from setfam.generators import HMSpec, gen_full_star, gen_hm
-
-
-def relabel(fam, perm):
-    """perm maps 0-based old position -> new position."""
-    ms = sorted(
-        sum(1 << perm[i] for i in range(fam.n) if m >> i & 1) for m in fam.members
-    )
-    return Family(fam.n, fam.k, tuple(ms))
 
 
 def test_intersection_adjacency_threshold():
@@ -117,7 +108,7 @@ def test_maximal_families_decode_against_bit_loop(n, k, through, nv):
             clique ^= b
             mem.append(vertices[b.bit_length() - 1])
         want.append(tuple(mem))
-    assert [f.members for f in enumeration._maximal_families(n, k, vertices)] == want
+    assert list(enumeration._maximal_members(vertices)) == want
 
 
 def test_5_2_against_powerset_oracle():
@@ -269,14 +260,15 @@ def test_class_totals_must_be_whole():
 
 
 def test_canonical_members_symmetries():
-    a = canonical_members(gen_full_star(7, 3, 1))
-    assert a == canonical_members(gen_full_star(7, 3, 5))
+    star = _kernels.canonical_min(7, gen_full_star(7, 3, 1).members)
+    assert star == _kernels.canonical_min(7, gen_full_star(7, 3, 5).members)
     hm1 = gen_hm(HMSpec(7, 3, 1, kset((2, 3, 4))))
     hm2 = gen_hm(HMSpec(7, 3, 7, kset((1, 2, 3))))
-    assert canonical_members(hm1) == canonical_members(hm2)
-    assert canonical_members(hm1) != a
+    canon = _kernels.canonical_min(7, hm1.members)
+    assert canon == _kernels.canonical_min(7, hm2.members)
+    assert canon != star
     # the encode is itself a family in the class
-    assert canonical_members(Family(7, 3, canonical_members(hm1))) == canonical_members(hm1)
+    assert _kernels.canonical_min(7, Family(7, 3, canon).members) == canon
 
 
 def test_canonical_members_brute_force():
@@ -289,7 +281,7 @@ def test_canonical_members_brute_force():
         pool = all_ksets(n, k)
         members = tuple(sorted(rng.sample(pool, rng.randint(1, min(5, len(pool))))))
         fam = Family(n, k, members)
-        assert canonical_members(fam) == brute_canonical(n, members)
+        assert _kernels.canonical_min(fam.n, fam.members) == brute_canonical(n, members)
 
 
 def test_iso_classes_merges_relabelings():
@@ -317,7 +309,7 @@ def test_iso_classes_on_partial_shared_bucket():
     assert len(shared) == 1
     rng = random.Random(12)
     sample = rng.sample([f for f in fams if key(f) == shared[0]], 150)
-    want = Counter(canonical_members(f) for f in sample)
+    want = Counter(_kernels.canonical_min(f.n, f.members) for f in sample)
     assert len(want) == 2
     got = iso_classes(sample)
     assert {c.canonical.members: c.labeled_count for c in got} == want
@@ -426,9 +418,9 @@ def test_encode_counts_against_per_family_counter():
 
 
 def per_family_classes(fams):
-    """Counter of (n, k, canonical encode) with canonical_members run on
+    """Counter of (n, k, canonical encode) with canonical_min run on
     every labeled family (once per distinct family: it is deterministic)."""
-    canon = {f: canonical_members(f) for f in set(fams)}
+    canon = {f: _kernels.canonical_min(f.n, f.members) for f in set(fams)}
     return Counter((f.n, f.k, canon[f]) for f in fams)
 
 
@@ -465,7 +457,7 @@ def test_iso_classes_exact_where_degrees_tie():
     fams = [relabel(fano, p) for p in permutations(range(7))]
     assert len(fams) == 5040 and len(set(fams)) == 30
     want = per_family_classes(fams)
-    assert want == {(7, 3, canonical_members(fano)): 5040}
+    assert want == {(7, 3, _kernels.canonical_min(7, fano.members)): 5040}
     assert class_counts(iso_classes(fams)) == want
 
     # the 2-regular (9,3) family: 3000 seeded relabelings, most of them new

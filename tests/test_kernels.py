@@ -6,9 +6,8 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import brute_canonical, nx_max_clique_size, nx_maximal_cliques
+from conftest import brute_canonical, nx_max_clique_size, nx_maximal_cliques, relabel_mask
 from setfam import _kernels
-from setfam._kernels import pure
 from setfam.enumeration import intersection_adjacency
 from setfam.famcore import Family, all_ksets, family, member_columns, twin_classes
 from setfam.generators import ConstraintSpec, gen_constrained
@@ -24,11 +23,6 @@ def random_graph(rng, nv, p):
     return adj
 
 
-def relabel_masks(members, perm):
-    """The member set under the element map i -> perm[i]."""
-    return {sum(1 << perm[i] for i in range(len(perm)) if m >> i & 1) for m in members}
-
-
 def test_maximal_cliques_against_networkx():
     rng = random.Random(5)
     for _ in range(60):
@@ -36,7 +30,7 @@ def test_maximal_cliques_against_networkx():
         adj = random_graph(rng, nv, rng.choice([0.2, 0.5, 0.8]))
         got = {
             frozenset(i for i in range(nv) if m >> i & 1)
-            for m in pure.maximal_cliques(adj, nv)
+            for m in _kernels.maximal_cliques(adj, nv)
         }
         assert got == nx_maximal_cliques(adj, nv)
 
@@ -51,10 +45,10 @@ def test_max_clique_size_against_networkx():
         nv = rng.randint(2, 28)
         adj = random_graph(rng, nv, rng.choice([0.3, 0.6, 0.9, 0.95, 1.0]))
         full = (1 << nv) - 1
-        assert pure.max_clique_size(adj, nv, full, 0) == nx_max_clique_size(adj, nv)
+        assert _kernels.max_clique_size(adj, nv, full, 0) == nx_max_clique_size(adj, nv)
         cand = rng.randrange(1, full)
         induced = [adj[i] & cand if cand >> i & 1 else 0 for i in range(nv)]
-        assert pure.max_clique_size(adj, nv, cand, 0) == nx_max_clique_size(induced, nv)
+        assert _kernels.max_clique_size(adj, nv, cand, 0) == nx_max_clique_size(induced, nv)
 
 
 def test_max_clique_size_deep_search():
@@ -65,17 +59,17 @@ def test_max_clique_size_deep_search():
     adj = [full ^ (1 << i) for i in range(nv)]
     adj[0] ^= 1 << 1
     adj[1] ^= 1 << 0
-    assert pure.max_clique_size(adj, nv, full, 0) == nv - 1
+    assert _kernels.max_clique_size(adj, nv, full, 0) == nv - 1
 
 
 def test_max_clique_size_lb_contract():
     # returns max(lb, clique size); empty candidate set gives max(lb, 0)
     adj = [0b110, 0b101, 0b011]  # triangle
-    assert pure.max_clique_size(adj, 3, 0b111, 0) == 3
-    assert pure.max_clique_size(adj, 3, 0b111, 3) == 3
-    assert pure.max_clique_size(adj, 3, 0, 2) == 2
-    assert pure.max_clique_size(adj, 3, 0, 0) == 0
-    assert pure.max_clique_size(adj, 3, 0b011, 0) == 2
+    assert _kernels.max_clique_size(adj, 3, 0b111, 0) == 3
+    assert _kernels.max_clique_size(adj, 3, 0b111, 3) == 3
+    assert _kernels.max_clique_size(adj, 3, 0, 2) == 2
+    assert _kernels.max_clique_size(adj, 3, 0, 0) == 0
+    assert _kernels.max_clique_size(adj, 3, 0b011, 0) == 2
 
 
 def random_block_host(rng, n, k):
@@ -98,13 +92,12 @@ def random_block_host(rng, n, k):
         members.update(gen_constrained(spec, k).members)
     perm = list(range(n))
     rng.shuffle(perm)
-    return Family(n, k, tuple(sorted(relabel_masks(members, perm))))
+    return Family(n, k, tuple(sorted(relabel_mask(m, perm) for m in members)))
 
 
 def orbit_input(host):
-    """The kernel's symmetry input for a host: (members, cols, classes)."""
-    cols = member_columns(host.n, host.members)
-    return host.members, cols, twin_classes(host, cols=cols)
+    """The kernel's symmetry input for a host: (members, cols)."""
+    return host.members, member_columns(host.n, host.members)
 
 
 def count_orbits(members, atoms, cand):
@@ -127,9 +120,9 @@ def check_orbit_path(host):
     full = (1 << nv) - 1
     sym = orbit_input(host)
     want = nx_max_clique_size(adj, nv)
-    assert pure.max_clique_size(adj, nv, full, 0, sym) == want
-    assert pure.max_clique_size(adj, nv, full, 0) == want
-    return bool(count_orbits(host.members, sym[2], full))
+    assert _kernels.max_clique_size(adj, nv, full, 0, sym) == want
+    assert _kernels.max_clique_size(adj, nv, full, 0) == want
+    return bool(count_orbits(host.members, twin_classes(host), full))
 
 
 def test_max_clique_size_orbit_path_on_block_hosts():
@@ -165,7 +158,7 @@ def test_max_clique_size_orbit_path_fixtures():
         assert check_orbit_path(host)
         nv = len(host)
         adj = intersection_adjacency(host.members)
-        assert pure.max_clique_size(adj, nv, (1 << nv) - 1, 0, orbit_input(host)) == omega
+        assert _kernels.max_clique_size(adj, nv, (1 << nv) - 1, 0, orbit_input(host)) == omega
 
 
 def test_max_clique_size_orbit_root_only():
@@ -174,15 +167,15 @@ def test_max_clique_size_orbit_root_only():
     # branches on vertices 0 and 3 alone; below {1,2} the swap (1 2) still
     # joins {1,3} and {2,3} into one orbit, and that frame finds a triangle
     host = family(6, 2, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
-    members, cols, classes = sym = orbit_input(host)
+    members, cols = sym = orbit_input(host)
     adj = intersection_adjacency(members)
-    assert classes == (0b000111, 0b111000)
-    root = pure._root_orbits(0b111111, sym)
+    assert twin_classes(host) == (0b000111, 0b111000)
+    root = _kernels._root_orbits(0b111111, sym)
     assert sorted(root[1]) == [0b000111, 0b111000]
-    assert pure._child_orbits(root, sym, 0, 0b000110)[1] == [0b000110]
-    assert pure.max_clique_size(adj, 6, 0b111111, 0, sym) == 3
-    assert pure.max_clique_size(adj, 6, 0b111111, 3, sym) == 3
-    assert pure.max_clique_size(adj, 6, 0, 2, sym) == 2
+    assert _kernels._child_orbits(root, sym, 0, 0b000110)[1] == [0b000110]
+    assert _kernels.max_clique_size(adj, 6, 0b111111, 0, sym) == 3
+    assert _kernels.max_clique_size(adj, 6, 0b111111, 3, sym) == 3
+    assert _kernels.max_clique_size(adj, 6, 0, 2, sym) == 2
 
 
 def test_max_clique_size_orbits_in_an_inner_frame():
@@ -196,23 +189,24 @@ def test_max_clique_size_orbits_in_an_inner_frame():
     ]
     for host in hosts:
         nv = len(host)
-        members, cols, classes = sym = orbit_input(host)
+        members, cols = sym = orbit_input(host)
+        classes = twin_classes(host)
         assert classes[0] == 0b1
         adj = intersection_adjacency(members, cols=cols)
         full = (1 << nv) - 1
-        root = pure._root_orbits(full, sym)
+        root = _kernels._root_orbits(full, sym)
         assert root is not None and set(root[1]) == count_orbits(members, classes, full)
         inner = 0
         for u in range(nv):
             if any(o >> u & 1 for o in root[1]):
                 continue  # u is not fixed at the root
             below = full & adj[u]
-            child = pure._child_orbits(root, sym, u, below)
+            child = _kernels._child_orbits(root, sym, u, below)
             atoms = [x for a in classes for x in (a & members[u], a & ~members[u]) if x]
             assert (set(child[1]) if child else set()) == count_orbits(members, atoms, below)
             inner += child is not None
         assert inner >= 1
-        assert pure.max_clique_size(adj, nv, full, 0, sym) == nx_max_clique_size(adj, nv)
+        assert _kernels.max_clique_size(adj, nv, full, 0, sym) == nx_max_clique_size(adj, nv)
 
 
 def test_column_split_against_count_vectors():
@@ -235,14 +229,14 @@ def test_column_split_against_count_vectors():
         atoms = [a for a in atoms if a]
         orbits = [cand] if cand & (cand - 1) else []
         for a in atoms:
-            orbits = pure._split(orbits, pure._count_planes(cols, a))
+            orbits = _kernels._split(orbits, _kernels._count_planes(cols, a))
         assert len(orbits) == len(set(orbits))
         assert set(orbits) == count_orbits(members, atoms, cand)
         # refine by a random member's halves, from the parent's orbits
         u = rng.randrange(nv)
         child_cand = cand & rng.randrange(1 << nv)
         sym = ([a for a in atoms if a & (a - 1)], orbits)
-        child = pure._child_orbits(sym, (members, cols, ()), u, child_cand)
+        child = _kernels._child_orbits(sym, (members, cols), u, child_cand)
         halves = [x for a in atoms for x in (a & members[u], a & ~members[u]) if x]
         assert (set(child[1]) if child else set()) == count_orbits(members, halves, child_cand)
 
@@ -263,22 +257,22 @@ def test_canonical_min_against_permutation_sweep():
 
         members = draw()
         want = brute_canonical(n, members)
-        assert pure.canonical_min(n, members) == want
+        assert _kernels.canonical_min(n, members) == want
         known = {brute_canonical(n, draw()) for _ in range(rng.randint(1, 4))}
         if rng.random() < 0.5:
             known.add(want)
         stopped += want in known
         perm = list(range(n))
         rng.shuffle(perm)
-        moved = tuple(relabel_masks(members, perm))
-        assert pure.canonical_min(n, moved, known=known) == want
+        moved = tuple(relabel_mask(m, perm) for m in members)
+        assert _kernels.canonical_min(n, moved, known=known) == want
     assert stopped >= 30  # the early stop is exercised
-    assert pure.canonical_min(6, ()) == ()
-    assert pure.canonical_min(6, (), known={()}) == ()
+    assert _kernels.canonical_min(6, ()) == ()
+    assert _kernels.canonical_min(6, (), known={()}) == ()
     # another size, or the empty member, never matches a known class
     for members, other in (((0b011,), (0b011, 0b101)), ((0, 0b011), (0b110, 0b011))):
-        known = {pure.canonical_min(3, other)}
-        assert pure.canonical_min(3, members, known=known) == brute_canonical(3, members)
+        known = {_kernels.canonical_min(3, other)}
+        assert _kernels.canonical_min(3, members, known=known) == brute_canonical(3, members)
 
 
 def test_canonical_min_known_where_invariants_cannot_decide():
@@ -287,11 +281,11 @@ def test_canonical_min_known_where_invariants_cannot_decide():
     # labeled copies): knowing one must not draw the other into it
     a = (7, 11, 13, 19, 22, 28, 37, 38, 42, 49)
     b = (7, 11, 13, 22, 26, 28, 38, 42, 44, 49)
-    ca, cb = pure.canonical_min(7, a), pure.canonical_min(7, b)
+    ca, cb = _kernels.canonical_min(7, a), _kernels.canonical_min(7, b)
     assert ca != cb
-    moved = tuple(relabel_masks(a, [3, 0, 6, 4, 2, 5, 1]))
-    assert pure.canonical_min(7, moved, known={cb}) == ca
-    assert pure.canonical_min(7, moved, known={ca, cb}) == ca
+    moved = tuple(relabel_mask(m, [3, 0, 6, 4, 2, 5, 1]) for m in a)
+    assert _kernels.canonical_min(7, moved, known={cb}) == ca
+    assert _kernels.canonical_min(7, moved, known={ca, cb}) == ca
 
 
 def affine_plane_3():
@@ -311,14 +305,14 @@ def test_canonical_min_known_stops_early():
     # leaf, so a search that ran on after it shows here
     fam = affine_plane_3()
     assert twin_classes(family(9, 3, fam)) == tuple(1 << e for e in range(9))
-    canon = pure.canonical_min(9, fam)
-    moved = tuple(relabel_masks(fam, [4, 8, 0, 6, 2, 7, 1, 5, 3]))
+    canon = _kernels.canonical_min(9, fam)
+    moved = tuple(relabel_mask(m, [4, 8, 0, 6, 2, 7, 1, 5, 3]) for m in fam)
 
     def fastest(reps, **kw):
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()
-            assert pure.canonical_min(9, moved, **kw) == canon
+            assert _kernels.canonical_min(9, moved, **kw) == canon
             times.append(time.perf_counter() - t0)
         return min(times)
 
@@ -351,25 +345,21 @@ def test_canonical_min_on_twin_blocks(monkeypatch):
             for _ in range(3):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                copies.append(pure.canonical_min(n, relabel_masks(fam, perm)))
+                copies.append(_kernels.canonical_min(n, [relabel_mask(m, perm) for m in fam]))
             cases.append((n, fam, copies))
     for n, fam, copies in cases:
         if n < 9:
             assert copies == [brute_canonical(n, fam)] * 3
-    monkeypatch.setattr(pure, "_twin_classes", lambda n, ms: tuple(1 << e for e in range(n)))
+    monkeypatch.setattr(
+        _kernels, "_twin_classes", lambda n, ms, cols=None: tuple(1 << e for e in range(n))
+    )
     for n, fam, copies in cases:
-        assert copies == [pure.canonical_min(n, fam)] * 3
+        assert copies == [_kernels.canonical_min(n, fam)] * 3
 
 
 def test_backend_interface():
     assert _kernels.BACKEND == "pure"
     assert _kernels.available_backends() == ["pure"]
-    backend = _kernels.load_backend("pure")
-    for name in (
-        "maximal_cliques",
-        "max_clique_size",
-        "canonical_min",
-    ):
-        assert getattr(backend, name) is getattr(_kernels, name)
+    assert _kernels.load_backend("pure") is _kernels
     with pytest.raises(ValueError):
         _kernels.load_backend("compiled")

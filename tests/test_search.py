@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from conftest import nx_lex_least_max_clique, nx_max_clique_size
+from conftest import nx_lex_least_max_clique, nx_max_clique_size, relabel, relabel_mask
 from test_kernels import random_block_host
 from setfam import _kernels, search
 from setfam.bounds import binom
@@ -19,7 +19,6 @@ from setfam.famcore import (
     is_trivial,
     kset,
     member_columns,
-    twin_classes,
 )
 from setfam.generators import (
     ConstraintSpec,
@@ -154,7 +153,7 @@ def oracle_hosts(count, seed):
         perm = list(range(n))
         if kind:
             rng.shuffle(perm)
-        members = {sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in members}
+        members = {relabel_mask(m, perm) for m in members}
         if 0 < len(members) <= 36:
             hosts.append(family(n, k, members))
     return hosts
@@ -224,8 +223,7 @@ def test_relabelled_three_block_host():
     # per member orbit at its root
     perm = (7, 2, 11, 4, 0, 9, 5, 1, 10, 3, 8, 6)
     base = gen_constrained(make_triple_blocks(12, 4), 4)
-    relabelled = (sum(1 << perm[i] for i in range(12) if m >> i & 1) for m in base.members)
-    host = Family(12, 4, tuple(sorted(relabelled)))
+    host = relabel(base, perm)
     size, witness = max_intersecting_subfamily(host)
     assert size == 96
     assert len(witness) == 96 and is_intersecting(witness)
@@ -239,9 +237,7 @@ def orbital_omega(host):
     adj = intersection_adjacency(host.members, cols=cols)
     nv = len(host)
     star = max_star_size(host)[0]
-    return _kernels.max_clique_size(
-        adj, nv, (1 << nv) - 1, star, (host.members, cols, twin_classes(host, cols=cols))
-    )
+    return _kernels.max_clique_size(adj, nv, (1 << nv) - 1, star, (host.members, cols))
 
 
 def test_complete_10_4_omega():
@@ -298,7 +294,7 @@ def test_bound_settles_omega_without_the_proof(monkeypatch):
     # above the bound nothing is built or searched
     with monkeypatch.context() as m:
         m.setattr(search, "intersection_adjacency", refuse)
-        m.setattr(search, "twin_classes", refuse)
+        m.setattr(_kernels, "_twin_classes", refuse)
         m.setattr(_kernels, "max_clique_size", refuse)
         assert max_intersecting_subfamily(gen_complete(9, 4)) == (56, gen_full_star(9, 4, 1))
 
